@@ -277,23 +277,22 @@ let e26 =
       in
       let ok = ref true in
       let show name g =
+        (* [None]: the state budget ran out, nothing to certify *)
         let b = Prbp.Black.number g in
         let bs = Prbp.Black.number ~sliding:true g in
         let rr = Prbp.Thresholds.rbp_trivial_r g in
         let rp = Prbp.Thresholds.prbp_trivial_r g in
         let s = function Some x -> string_of_int x | None -> "-" in
-        T.add_rowf t "%s|%d|%d|%d|%s|%s|%s" name b bs
+        T.add_rowf t "%s|%s|%s|%d|%s|%s|%s" name (s b) (s bs)
           (Prbp.Thresholds.rbp_feasible_r g)
           (s rr) (s rp)
           (match (rr, rp) with
           | Some a, Some b -> string_of_int (a - b)
           | _ -> "-");
-        (match (rr, rp) with
-        | Some a, Some p ->
-            if p > a then ok := false;
-            if a < b then ok := false
-        | _ -> ok := false);
-        if bs > b || b > bs + 1 then ok := false
+        match (rr, rp, b, bs) with
+        | Some a, Some p, Some b, Some bs ->
+            if p > a || a < b || bs > b || b > bs + 1 then ok := false
+        | _ -> ok := false
       in
       show "path(5)" (Prbp.Graphs.Basic.path 5);
       show "diamond" (Prbp.Graphs.Basic.diamond ());

@@ -5,6 +5,7 @@
 
 open Bechamel
 open Toolkit
+module Json = Prbp.Obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Solver throughput on hard exact instances, with the branch-and-
@@ -209,19 +210,24 @@ let bracket_budget () = Prbp.Solver.Budget.v ~max_millis:10_000 ()
    gating. *)
 let convergence_json family game r (b : Prbp.Bounds.Bracket.t) =
   let module B = Prbp.Bounds.Bracket in
-  let module C = Prbp.Solver.Convergence in
-  let tw w =
-    match C.time_to_width b.B.curve w with
-    | Some s -> Printf.sprintf "%.3f" s
-    | None -> "null"
+  let time_to_width w =
+    match Prbp.Solver.Convergence.time_to_width b.B.curve w with
+    | Some s -> Json.Float s
+    | None -> Json.Null
   in
-  Printf.sprintf
-    "{\"family\": %S, \"game\": %S, \"r\": %d, \"curve_points\": %d, \
-     \"final_width\": %d, \"time_to_width\": {\"8\": %s, \"4\": %s, \"2\": \
-     %s, \"1\": %s, \"0\": %s}}"
-    family game r
-    (List.length b.B.curve)
-    b.B.width (tw 8) (tw 4) (tw 2) (tw 1) (tw 0)
+  Json.Obj
+    [
+      ("family", Json.String family);
+      ("game", Json.String game);
+      ("r", Json.Int r);
+      ("curve_points", Json.Int (List.length b.B.curve));
+      ("final_width", Json.Int b.B.width);
+      ( "time_to_width",
+        Json.Obj
+          (List.map
+             (fun w -> (string_of_int w, time_to_width w))
+             [ 8; 4; 2; 1; 0 ]) );
+    ]
 
 let run_brackets ppf =
   Format.fprintf ppf "@.=== PERF — certified brackets at scale ===@.@.";
@@ -275,147 +281,98 @@ let frontier_cases () =
     ("attention-qkt:16:8", F.Prbp_mc, qkt.Prbp.Graphs.Matmul.dag, 4, [ 4; 8 ]);
   ]
 
-let frontier_stats (f : Prbp.Frontier.Frontier.t) =
-  let module F = Prbp.Frontier.Frontier in
-  let points_n = List.length f.F.points in
-  let open_n = List.length (F.open_points f) in
-  (* the same summed-width metric encode_frontier emits as front_width *)
-  let width =
-    List.fold_left
-      (fun acc (pt : F.point) ->
-        match pt.F.comm_upper with
-        | Some u -> acc + (u - pt.F.comm_lower)
-        | None -> acc)
-      0 f.F.points
-  in
-  (points_n, open_n, width)
+(* one frontier case, swept under the standard bench budget *)
+let sweep_frontier (family, game, g, p, rs) =
+  Gc.compact ();
+  let budget = bracket_budget () in
+  let f = Prbp.Frontier.Frontier.sweep ~budget game ~p ~rs g in
+  Prbp.Wire.frontier_of ~family ~dag:g f
 
 let run_frontiers ppf =
-  let module F = Prbp.Frontier.Frontier in
+  let module W = Prbp.Wire in
   Format.fprintf ppf "@.=== PERF — certified frontiers ===@.@.";
   let t =
     Prbp.Table.make
       ~header:[ "family"; "game"; "points"; "open"; "width"; "time" ]
   in
-  let budget = bracket_budget () in
   let rows =
     List.map
-      (fun (family, game, g, p, rs) ->
-        Gc.compact ();
-        let f = F.sweep ~budget game ~p ~rs g in
-        let points_n, open_n, width = frontier_stats f in
+      (fun ((family, _, _, _, _) as case) ->
+        let f = sweep_frontier case in
         Prbp.Table.add_rowf t "%s|%s|%d|%d|%d|%.1fs" family
-          (F.game_label game ~p) points_n open_n width f.F.elapsed_s;
-        Prbp.Wire.encode_frontier (Prbp.Wire.frontier_of ~family ~dag:g f))
+          (W.game_label f.W.game) (W.frontier_points_n f) (W.frontier_open_n f)
+          (W.frontier_width f) f.W.elapsed_s;
+        W.encode_frontier f)
       (frontier_cases ())
   in
   Prbp.Table.print ppf t;
   rows
 
-(* [--check-widths]: re-run the bracket cases under the standard bench
-   budget and gate on the interval widths committed in
-   BENCH_solver.json.  Returns the process exit code: 1 when any
-   committed case's width regressed (or a case with a baseline failed
-   to bracket at all), 0 otherwise.  Schema v9 extends the gate to the
-   frontier rows: settled point counts must not shrink, open intervals
-   must not multiply, summed widths must not grow past the slack.
-   Schema v10 adds the structural convergence-curve gate: every fresh
-   bracket's curve must be monotone and must end exactly at the
-   certified bracket — no timing comparisons, so no CI flakes. *)
-let check_frontier_widths ppf =
+let check_frontier_widths ppf baseline =
   let module R = Prbp.Regression in
-  let module F = Prbp.Frontier.Frontier in
-  let baseline =
-    try R.frontier_rows_of_file "BENCH_solver.json" with Sys_error _ -> []
-  in
   if baseline = [] then begin
     Format.fprintf ppf
       "check-widths: no committed frontier baseline — brackets only@.";
     0
   end
   else begin
-    let budget = bracket_budget () in
-    let current =
-      List.map
-        (fun (family, game, g, p, rs) ->
-          Gc.compact ();
-          let f = F.sweep ~budget game ~p ~rs g in
-          let points_n, open_n, front_width = frontier_stats f in
-          {
-            R.f_family = family;
-            f_game = F.game_label game ~p;
-            points_n;
-            open_n;
-            front_width;
-          })
-        (frontier_cases ())
-    in
+    let current = List.map sweep_frontier (frontier_cases ()) in
     let verdicts = R.check_frontiers ~baseline current in
-    List.iter (fun v -> Format.fprintf ppf "%a@." R.pp_frontier_verdict v)
-      verdicts;
+    List.iter (Format.fprintf ppf "%a@." R.pp_frontier_verdict) verdicts;
     if R.frontier_regressed verdicts then 1 else 0
   end
 
+(* [--check-widths]: re-run the bracket cases under the standard bench
+   budget and gate on the interval widths committed in
+   BENCH_solver.json.  Returns the process exit code: 1 when any
+   committed case's width regressed, a case with a baseline failed to
+   bracket at all, or a committed row no longer decodes; 0 otherwise.
+   The frontier rows gate too: settled point counts must not shrink,
+   open intervals must not multiply, summed widths must not grow past
+   the slack.  Every fresh bracket's convergence curve must be
+   monotone and end exactly at the certified bracket — a structural
+   gate with no timing comparisons, so no CI flakes. *)
 let check_widths ppf =
   let module R = Prbp.Regression in
-  let baseline =
-    try R.rows_of_file "BENCH_solver.json"
-    with Sys_error e ->
+  match R.of_file "BENCH_solver.json" with
+  | exception Sys_error e ->
       Format.fprintf ppf "check-widths: cannot read BENCH_solver.json: %s@." e;
-      []
-  in
-  if baseline = [] then begin
-    Format.fprintf ppf
-      "check-widths: no committed bracket baseline — nothing to gate@.";
-    0
-  end
-  else begin
-    Format.fprintf ppf "@.=== PERF — interval-width regression gate ===@.@.";
-    let budget = bracket_budget () in
-    let failed = ref false in
-    let curve_checks = ref [] in
-    let current =
-      List.filter_map
-        (fun (family, game, g, r) ->
-          Gc.compact ();
-          match run_one_bracket game ~budget ~r g with
-          | Error e ->
-              Format.fprintf ppf "bracket %s failed: %s@." family e;
-              failed := true;
-              None
-          | Ok b ->
-              let module B = Prbp.Bounds.Bracket in
-              let game_label = Prbp.Bounds.Lower.game_label b.B.game in
-              curve_checks :=
-                R.check_curve ~family ~game:game_label ~r
-                  ~lower:b.B.lower.Prbp.Bounds.Lower.bound ~upper:b.B.upper
-                  b.B.curve
-                :: !curve_checks;
-              Some
-                {
-                  R.family;
-                  game = game_label;
-                  r;
-                  interval_width = b.B.width;
-                  lower_rule = b.B.lower.Prbp.Bounds.Lower.rule;
-                  upper_rule = Prbp.Bounds.Upper.meth_label b.B.meth;
-                })
-        (bracket_cases ())
-    in
-    let verdicts = R.check ~baseline current in
-    List.iter (fun v -> Format.fprintf ppf "%a@." R.pp_verdict v) verdicts;
-    Format.fprintf ppf "@.=== PERF — convergence-curve gate (v10) ===@.@.";
-    let curve_verdicts = List.rev !curve_checks in
-    List.iter
-      (fun v -> Format.fprintf ppf "%a@." R.pp_curve_verdict v)
-      curve_verdicts;
-    let bracket_code =
-      if R.regressed verdicts || R.curves_regressed curve_verdicts || !failed
-      then 1
-      else 0
-    in
-    max bracket_code (check_frontier_widths ppf)
-  end
+      0
+  | Error e ->
+      Format.fprintf ppf "check-widths: BENCH_solver.json: %s@." e;
+      1
+  | Ok { R.brackets = []; _ } ->
+      Format.fprintf ppf
+        "check-widths: no committed bracket baseline — nothing to gate@.";
+      0
+  | Ok baseline ->
+      Format.fprintf ppf
+        "@.=== PERF — interval-width regression gate ===@.@.";
+      let budget = bracket_budget () in
+      let failed = ref false in
+      let current =
+        List.filter_map
+          (fun (family, game, g, r) ->
+            Gc.compact ();
+            match run_one_bracket game ~budget ~r g with
+            | Error e ->
+                Format.fprintf ppf "bracket %s failed: %s@." family e;
+                failed := true;
+                None
+            | Ok b -> Some (Prbp.Wire.bracket_of ~family b))
+          (bracket_cases ())
+      in
+      let verdicts = R.check ~baseline:baseline.R.brackets current in
+      List.iter (Format.fprintf ppf "%a@." R.pp_verdict) verdicts;
+      Format.fprintf ppf "@.=== PERF — convergence-curve gate (v10) ===@.@.";
+      let curve_verdicts = List.map R.check_curve current in
+      List.iter (Format.fprintf ppf "%a@." R.pp_curve_verdict) curve_verdicts;
+      let bracket_code =
+        if R.regressed verdicts || R.curves_regressed curve_verdicts || !failed
+        then 1
+        else 0
+      in
+      max bracket_code (check_frontier_widths ppf baseline.R.frontiers)
 
 let show_interval r =
   match r.upper with
@@ -503,89 +460,97 @@ let run_solver ?(jobs = 1) ppf =
   in
   let bracket_rows, convergence_rows = run_brackets ppf in
   let frontier_rows = run_frontiers ppf in
-  let buf = Buffer.create 1024 in
-  (* single-sourced from Wire so the daemon's /healthz, the regression
-     gate, and this writer can never disagree on the schema version *)
-  Printf.bprintf buf "{\n  \"schema\": %S,\n" Prbp.Wire.bench_schema;
-  (* filled in by the [--serve] load generator (Exp_serve), which
-     patches this single line in place *)
-  Buffer.add_string buf "  \"serve\": null,\n";
-  Printf.bprintf buf "  \"jobs\": %d,\n  \"host_cores\": %d,\n" jobs
-    (Domain.recommended_domain_count ());
-  Buffer.add_string buf "  \"cases\": [\n";
-  let num_opt = function Some v -> string_of_int v | None -> "null" in
-  let metrics_json m =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v) m)
-    ^ "}"
+  let num_opt = function Some v -> Json.Int v | None -> Json.Null in
+  let per_s r = Json.Int (int_of_float (Float.round (rate r))) in
+  let counters m = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) m) in
+  let case_json (c, on, off) =
+    Json.Obj
+      [
+        ("name", Json.String c.name);
+        ("game", Json.String c.game);
+        ("nodes", Json.Int (Prbp_dag.Dag.n_nodes c.dag));
+        ("edges", Json.Int (Prbp_dag.Dag.n_edges c.dag));
+        ("r", Json.Int c.r);
+        ("p", Json.Int c.p);
+        ("outcome", Json.String on.outcome);
+        ("lower", Json.Int on.lower);
+        ("upper", num_opt on.upper);
+        ( "interval_width",
+          num_opt (Option.map (fun u -> u - on.lower) on.upper) );
+        ( "prune",
+          Json.Obj
+            [
+              ("wall_s", Json.Float on.wall_s);
+              ("explored", Json.Int on.explored);
+              ("pruned", Json.Int on.pruned);
+              ("explored_per_s", per_s on);
+            ] );
+        ( "no_prune",
+          Json.Obj
+            [
+              ("wall_s", Json.Float off.wall_s);
+              ("explored", Json.Int off.explored);
+              ("explored_per_s", per_s off);
+            ] );
+        ( "par",
+          match List.assoc_opt c.name par_rows with
+          | None -> Json.Null
+          | Some (par, speedup) ->
+              Json.Obj
+                [
+                  ("jobs", Json.Int jobs);
+                  ("wall_s", Json.Float par.wall_s);
+                  ("explored", Json.Int par.explored);
+                  ("speedup_vs_j1", Json.Float speedup);
+                ] );
+        ( "metrics",
+          Json.Obj
+            [
+              ("prune", counters on.metrics); ("no_prune", counters off.metrics);
+            ] );
+      ]
   in
-  let par_json name =
-    match List.assoc_opt name par_rows with
-    | None -> "null"
-    | Some (par, speedup) ->
-        Printf.sprintf
-          "{\"jobs\": %d, \"wall_s\": %.3f, \"explored\": %d, \
-           \"speedup_vs_j1\": %.3f}"
-          jobs par.wall_s par.explored speedup
+  let huge_json (c, res) =
+    Json.Obj
+      [
+        ("name", Json.String c.name);
+        ("jobs", Json.Int jobs);
+        ("budget_states", Json.Int c.budget);
+        ("outcome", Json.String res.outcome);
+        ("lower", Json.Int res.lower);
+        ("upper", num_opt res.upper);
+        ("explored", Json.Int res.explored);
+        ("wall_s", Json.Float res.wall_s);
+        ("explored_per_s", per_s res);
+      ]
   in
-  List.iteri
-    (fun i (c, on, off) ->
-      let width =
-        match on.upper with Some u -> Some (u - on.lower) | None -> None
-      in
-      Printf.bprintf buf
-        "    {\"name\": %S, \"game\": %S, \"nodes\": %d, \"edges\": %d, \
-         \"r\": %d, \"p\": %d,\n\
-        \     \"outcome\": %S, \"lower\": %d, \"upper\": %s, \
-         \"interval_width\": %s,\n\
-        \     \"prune\": {\"wall_s\": %.3f, \"explored\": %d, \"pruned\": \
-         %d, \"explored_per_s\": %.0f},\n\
-        \     \"no_prune\": {\"wall_s\": %.3f, \"explored\": %d, \
-         \"explored_per_s\": %.0f},\n\
-        \     \"par\": %s,\n\
-        \     \"metrics\": {\"prune\": %s, \"no_prune\": %s}}%s\n"
-        c.name c.game
-        (Prbp_dag.Dag.n_nodes c.dag)
-        (Prbp_dag.Dag.n_edges c.dag)
-        c.r c.p on.outcome on.lower (num_opt on.upper) (num_opt width)
-        on.wall_s on.explored on.pruned (rate on) off.wall_s off.explored
-        (rate off) (par_json c.name)
-        (metrics_json on.metrics)
-        (metrics_json off.metrics)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  (match huge with
-  | None -> Buffer.add_string buf "  \"huge\": null,\n"
-  | Some (c, res) ->
-      Printf.bprintf buf
-        "  \"huge\": {\"name\": %S, \"jobs\": %d, \"budget_states\": %d, \
-         \"outcome\": %S, \"lower\": %d, \"upper\": %s, \"explored\": %d, \
-         \"wall_s\": %.3f, \"explored_per_s\": %.0f},\n"
-        c.name jobs c.budget res.outcome res.lower (num_opt res.upper)
-        res.explored res.wall_s (rate res));
-  Buffer.add_string buf "  \"brackets\": [\n";
-  List.iteri
-    (fun i row ->
-      Printf.bprintf buf "    %s%s\n" row
-        (if i = List.length bracket_rows - 1 then "" else ","))
-    bracket_rows;
-  Buffer.add_string buf "  ],\n  \"convergence\": [\n";
-  List.iteri
-    (fun i row ->
-      Printf.bprintf buf "    %s%s\n" row
-        (if i = List.length convergence_rows - 1 then "" else ","))
-    convergence_rows;
-  Buffer.add_string buf "  ],\n  \"frontiers\": [\n";
-  List.iteri
-    (fun i row ->
-      Printf.bprintf buf "    %s%s\n" row
-        (if i = List.length frontier_rows - 1 then "" else ","))
-    frontier_rows;
-  Buffer.add_string buf "  ]\n}\n";
+  (* one member per line and one row per line, so the [--serve] load
+     generator (Exp_serve) can patch the single "serve" line in place *)
+  let lines = function
+    | [] -> "[]"
+    | rs -> "[\n    " ^ String.concat ",\n    " rs ^ "\n  ]"
+  in
+  let member (k, v) = "  " ^ Json.string k ^ ": " ^ v in
+  let json j = Json.to_string j in
+  let doc =
+    [
+      (* single-sourced from Wire so the daemon's /healthz, the
+         regression gate, and this writer can never disagree on the
+         schema version *)
+      ("schema", json (Json.String Prbp.Wire.bench_schema));
+      ("serve", json Json.Null);
+      ("jobs", json (Json.Int jobs));
+      ("host_cores", json (Json.Int (Domain.recommended_domain_count ())));
+      ("cases", lines (List.map (fun row -> json (case_json row)) rows));
+      ("huge", json (Option.fold ~none:Json.Null ~some:huge_json huge));
+      ("brackets", lines bracket_rows);
+      ("convergence", lines (List.map json convergence_rows));
+      ("frontiers", lines frontier_rows);
+    ]
+  in
   let oc = open_out "BENCH_solver.json" in
-  Buffer.output_buffer oc buf;
+  output_string oc
+    ("{\n" ^ String.concat ",\n" (List.map member doc) ^ "\n}\n");
   close_out oc;
   Format.fprintf ppf "@.wrote BENCH_solver.json@."
 

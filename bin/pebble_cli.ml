@@ -342,11 +342,11 @@ let solve_cmd =
     in
     let black () =
       match Prbp.Black.number ~sliding ~max_states g with
-      | n -> Format.printf "black pebbling number: %d@." n
-      | exception Prbp.Game.Too_large n ->
+      | Some n -> Format.printf "black pebbling number: %d@." n
+      | None ->
           bounded := true;
           Format.printf "black pebbling number: state budget (%d) exhausted@."
-            n
+            max_states
     in
     let multi p =
       if recompute then
@@ -805,15 +805,26 @@ let frontier_cmd =
     let budget = Prbp.Solver.Budget.v ~max_states ?max_millis:deadline () in
     match comm_cap with
     | Some comm_cap -> (
+        let module J = Prbp.Obs.Json in
+        let min_r_row fields =
+          print_endline
+            (J.to_string
+               (J.Obj
+                  ([
+                     ("v", J.Int Prbp.Wire.version);
+                     ("kind", J.String "min-r");
+                     ("game", J.String (F.game_label game ~p));
+                     ("comm_cap", J.Int comm_cap);
+                   ]
+                  @ fields)))
+        in
         (* reverse ε-constraint: least capacity meeting the cap *)
         match
           F.min_r_for_comm ~budget ?rules ~jobs game ~p ~comm_cap ?r_max g
         with
         | F.Min_r { r; comm } ->
             if json then
-              Printf.printf
-                "{\"v\":1,\"kind\":\"min-r\",\"game\":%S,\"comm_cap\":%d,\"r\":%d,\"comm\":%d}\n"
-                (F.game_label game ~p) comm_cap r comm
+              min_r_row [ ("r", J.Int r); ("comm", J.Int comm) ]
             else
               Format.printf
                 "least r with OPT_comm <= %d: r = %d (comm %d)@." comm_cap r
@@ -821,9 +832,7 @@ let frontier_cmd =
             0
         | F.Min_r_between (lo, hi) ->
             if json then
-              Printf.printf
-                "{\"v\":1,\"kind\":\"min-r\",\"game\":%S,\"comm_cap\":%d,\"r_lower\":%d,\"r_upper\":%d}\n"
-                (F.game_label game ~p) comm_cap lo hi
+              min_r_row [ ("r_lower", J.Int lo); ("r_upper", J.Int hi) ]
             else
               Format.printf
                 "least r with OPT_comm <= %d: certified in [%d, %d] (budget \
@@ -831,10 +840,7 @@ let frontier_cmd =
                 comm_cap lo hi;
             exit_bounded
         | F.Min_r_infeasible ->
-            if json then
-              Printf.printf
-                "{\"v\":1,\"kind\":\"min-r\",\"game\":%S,\"comm_cap\":%d,\"infeasible\":true}\n"
-                (F.game_label game ~p) comm_cap
+            if json then min_r_row [ ("infeasible", J.Bool true) ]
             else
               Format.printf "no capacity meets OPT_comm <= %d@." comm_cap;
             0)
@@ -1054,12 +1060,14 @@ let analyze_cmd =
     let g = build family in
     Format.printf "%a@." Prbp.Dag.pp g;
     Format.printf "trivial cost: %d@." (Prbp.Dag.trivial_cost g);
-    (try
-       Format.printf "black pebbling number: %d (with sliding: %d)@."
-         (Prbp.Black.number g)
-         (Prbp.Black.number ~sliding:true g)
-     with Prbp.Black.Too_large _ | Invalid_argument _ ->
-       Format.printf "black pebbling number: (too large for exact search)@.");
+    (let too_large () =
+       Format.printf "black pebbling number: (too large for exact search)@."
+     in
+     match (Prbp.Black.number g, Prbp.Black.number ~sliding:true g) with
+     | Some b, Some bs ->
+         Format.printf "black pebbling number: %d (with sliding: %d)@." b bs
+     | _ -> too_large ()
+     | exception Invalid_argument _ -> too_large ());
     let show name = function
       | Some x -> Format.printf "%s = %d@." name x
       | None -> Format.printf "%s: not found within r <= n@." name

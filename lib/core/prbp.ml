@@ -118,10 +118,11 @@ end
     bracket-certificate / telemetry records with deterministic
     encoders and hardened decoders — the one format [pebble_cli]'s
     [--json]/[--trace], the [prbpd] daemon and the bench load
-    generator all speak.  {!Wire.Json} is its minimal JSON substrate. *)
+    generator all speak.  {!Wire.Json} is its minimal JSON substrate,
+    the same module as {!Obs.Json}. *)
 module Wire = struct
   include Prbp_wire.Wire
-  module Json = Prbp_wire.Json
+  module Json = Prbp_obs.Json
 end
 
 (** The [prbpd] daemon: HTTP service over the wire schema with worker

@@ -1,182 +1,96 @@
-(* Width-regression gate over committed BENCH_solver.json bracket rows.
+(* Width-regression gate over the bracket and frontier rows of
+   BENCH_solver.json.  The rows are wire records, decoded by the codec
+   that wrote them; a row that no longer decodes fails the gate rather
+   than dropping out of the baseline. *)
 
-   The bench JSON is machine-written with one bracket object per line,
-   so a line-based field scan is enough — no JSON dependency.  Parsing
-   is deliberately lenient: rows missing a field are skipped (an old
-   schema must not crash the gate, it just contributes no baseline). *)
+module Wire = Prbp_wire.Wire
+module Json = Prbp_obs.Json
+module Convergence = Prbp_solver.Solver.Convergence
 
-type row = {
-  family : string;
-  game : string;
-  r : int;
-  interval_width : int;
-  lower_rule : string;
-  upper_rule : string;
-}
+let ( let* ) = Result.bind
 
-let key row = (row.family, row.game, row.r)
+type baseline = { brackets : Wire.bracket list; frontiers : Wire.frontier list }
 
-(* ["<name>": <...>] scanning on a single line.  Values are either
-   quoted strings or bare integers; both appear in bracket rows. *)
-let find_field line name =
-  let needle = Printf.sprintf "\"%s\":" name in
-  let nl = String.length needle and ll = String.length line in
-  let rec search i =
-    if i + nl > ll then None
-    else if String.sub line i nl = needle then Some (i + nl)
-    else search (i + 1)
+(* an absent array is an empty one: v8 files carry no frontiers *)
+let rows name decode doc =
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | row :: rest -> (
+        match decode (Json.to_string row) with
+        | Ok r -> go (i + 1) (r :: acc) rest
+        | Error e -> Error (Printf.sprintf "%s[%d]: %s" name i e))
   in
-  Option.map
-    (fun start ->
-      let start = ref start in
-      while !start < ll && line.[!start] = ' ' do
-        incr start
-      done;
-      !start)
-    (search 0)
+  match Json.member name doc with
+  | None -> Ok []
+  | Some (Json.List l) -> go 0 [] l
+  | Some _ -> Error (Printf.sprintf "%S: expected an array" name)
 
-let string_field line name =
-  match find_field line name with
-  | Some i when i < String.length line && line.[i] = '"' -> (
-      match String.index_from_opt line (i + 1) '"' with
-      | Some j -> Some (String.sub line (i + 1) (j - i - 1))
-      | None -> None)
-  | _ -> None
+let of_string s =
+  let* doc = Result.map_error (( ^ ) "invalid JSON: ") (Json.of_string s) in
+  let* brackets = rows "brackets" Wire.decode_bracket doc in
+  let* frontiers = rows "frontiers" Wire.decode_frontier doc in
+  Ok { brackets; frontiers }
 
-let int_field line name =
-  match find_field line name with
-  | None -> None
-  | Some i ->
-      let j = ref i in
-      let ll = String.length line in
-      while
-        !j < ll && (line.[!j] = '-' || (line.[!j] >= '0' && line.[!j] <= '9'))
-      do
-        incr j
-      done;
-      int_of_string_opt (String.sub line i (!j - i))
+let of_file path =
+  of_string (In_channel.with_open_bin path In_channel.input_all)
 
-let row_of_line line =
-  if string_field line "kind" <> Some "bracket" then None
-  else
-    match
-      ( string_field line "family",
-        string_field line "game",
-        int_field line "r",
-        int_field line "interval_width" )
-    with
-    | Some family, Some game, Some r, Some interval_width ->
-        Some
-          {
-            family;
-            game;
-            r;
-            interval_width;
-            lower_rule =
-              Option.value ~default:"?" (string_field line "lower_rule");
-            upper_rule =
-              Option.value ~default:"?" (string_field line "upper_rule");
-          }
-    | _ -> None
+let family fam = Option.value fam ~default:"-"
 
-let rows_of_string s =
-  String.split_on_char '\n' s |> List.filter_map row_of_line
+(* widths wobble a little run to run under wall-clock budgets: allow
+   [slack_pct] percent of growth, and one absolute unit for tiny
+   baselines, before declaring a regression *)
+let limit ~slack_pct w = max (w + 1) (w * (100 + slack_pct) / 100)
 
-let rows_of_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> rows_of_string (really_input_string ic (in_channel_length ic)))
+let key (b : Wire.bracket) = (b.family, b.game, b.r)
 
 type verdict =
-  | Ok_width of { row : row; baseline : int }
-  | Regressed of { row : row; baseline : int; limit : int }
-  | New_case of row
+  | Ok_width of { row : Wire.bracket; baseline : int }
+  | Regressed of { row : Wire.bracket; baseline : int; limit : int }
+  | New_case of Wire.bracket
 
 let check ?(slack_pct = 10) ~baseline current =
   List.map
-    (fun row ->
+    (fun (row : Wire.bracket) ->
       match List.find_opt (fun b -> key b = key row) baseline with
       | None -> New_case row
-      | Some b ->
-          (* brackets run under a wall-clock budget, so widths wobble a
-             little run to run; the gate allows [slack_pct] percent of
-             growth (and one absolute unit for tiny baselines) before
-             declaring a regression *)
-          let limit =
-            max (b.interval_width + 1)
-              (b.interval_width * (100 + slack_pct) / 100)
-          in
-          if row.interval_width > limit then
-            Regressed { row; baseline = b.interval_width; limit }
-          else Ok_width { row; baseline = b.interval_width })
+      | Some (b : Wire.bracket) ->
+          let limit = limit ~slack_pct b.width in
+          if row.width > limit then
+            Regressed { row; baseline = b.width; limit }
+          else Ok_width { row; baseline = b.width })
     current
 
 let pp_verdict ppf = function
   | Ok_width { row; baseline } ->
       Format.fprintf ppf "ok        %s %s r=%d: width %d (baseline %d)"
-        row.family row.game row.r row.interval_width baseline
+        (family row.family) (Wire.game_label row.game) row.r row.width
+        baseline
   | Regressed { row; baseline; limit } ->
       Format.fprintf ppf
         "REGRESSED %s %s r=%d: width %d > limit %d (baseline %d, lower %s, \
          upper %s)"
-        row.family row.game row.r row.interval_width limit baseline
-        row.lower_rule row.upper_rule
+        (family row.family) (Wire.game_label row.game) row.r row.width limit
+        baseline row.lower_rule row.upper_rule
   | New_case row ->
       Format.fprintf ppf "new       %s %s r=%d: width %d (no baseline)"
-        row.family row.game row.r row.interval_width
+        (family row.family) (Wire.game_label row.game) row.r row.width
 
 let regressed verdicts =
   List.exists (function Regressed _ -> true | _ -> false) verdicts
 
 (* ------------------------------------------------------------------ *)
-(* Frontier rows (schema v9).  v8 files simply contain no "frontier"
-   rows, so the same lenient scan accepts both generations. *)
+(* Frontier rows *)
 
-type frontier_row = {
-  f_family : string;
-  f_game : string;  (* "multi-rbp:P" / "multi-prbp:P" *)
-  points_n : int;
-  open_n : int;
-  front_width : int;  (* summed communication interval widths *)
-}
-
-let frontier_key row = (row.f_family, row.f_game)
-
-let frontier_row_of_line line =
-  if string_field line "kind" <> Some "frontier" then None
-  else
-    match
-      ( string_field line "family",
-        string_field line "game",
-        int_field line "points_n",
-        int_field line "open_n",
-        int_field line "front_width" )
-    with
-    | Some f_family, Some f_game, Some points_n, Some open_n, Some front_width
-      ->
-        Some { f_family; f_game; points_n; open_n; front_width }
-    | _ -> None
-
-let frontier_rows_of_string s =
-  String.split_on_char '\n' s |> List.filter_map frontier_row_of_line
-
-let frontier_rows_of_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      frontier_rows_of_string
-        (really_input_string ic (in_channel_length ic)))
+let frontier_key (f : Wire.frontier) = (f.family, f.game)
 
 type frontier_verdict =
-  | Frontier_ok of { row : frontier_row; baseline : frontier_row }
+  | Frontier_ok of { row : Wire.frontier; baseline : Wire.frontier }
   | Frontier_regressed of {
-      row : frontier_row;
-      baseline : frontier_row;
+      row : Wire.frontier;
+      baseline : Wire.frontier;
       what : string;
     }
-  | Frontier_new of frontier_row
+  | Frontier_new of Wire.frontier
 
 let check_frontiers ?(slack_pct = 10) ~baseline current =
   List.map
@@ -189,117 +103,82 @@ let check_frontiers ?(slack_pct = 10) ~baseline current =
           (* fewer settled capacities, more open intervals, or fatter
              intervals than the committed run are each a regression;
              the width gets the same wobble slack as brackets *)
-          let width_limit =
-            max (b.front_width + 1) (b.front_width * (100 + slack_pct) / 100)
-          in
-          if row.points_n < b.points_n then
-            Frontier_regressed { row; baseline = b; what = "fewer points" }
-          else if row.open_n > b.open_n then
-            Frontier_regressed
-              { row; baseline = b; what = "more open intervals" }
-          else if row.front_width > width_limit then
-            Frontier_regressed
-              {
-                row;
-                baseline = b;
-                what = Printf.sprintf "width > limit %d" width_limit;
-              }
+          let width_limit = limit ~slack_pct (Wire.frontier_width b) in
+          let regressed what = Frontier_regressed { row; baseline = b; what } in
+          if Wire.frontier_points_n row < Wire.frontier_points_n b then
+            regressed "fewer points"
+          else if Wire.frontier_open_n row > Wire.frontier_open_n b then
+            regressed "more open intervals"
+          else if Wire.frontier_width row > width_limit then
+            regressed (Printf.sprintf "width > limit %d" width_limit)
           else Frontier_ok { row; baseline = b })
     current
 
-let pp_frontier_verdict ppf = function
+let pp_frontier_verdict ppf v =
+  let name (f : Wire.frontier) =
+    Printf.sprintf "%s %s" (family f.family) (Wire.game_label f.game)
+  in
+  let points = Wire.frontier_points_n
+  and open_ = Wire.frontier_open_n
+  and width = Wire.frontier_width in
+  match v with
   | Frontier_ok { row; baseline } ->
       Format.fprintf ppf
-        "ok        %s %s: %d points, %d open, width %d (baseline width %d)"
-        row.f_family row.f_game row.points_n row.open_n row.front_width
-        baseline.front_width
+        "ok        %s: %d points, %d open, width %d (baseline width %d)"
+        (name row) (points row) (open_ row) (width row) (width baseline)
   | Frontier_regressed { row; baseline; what } ->
       Format.fprintf ppf
-        "REGRESSED %s %s: %s (now %d points / %d open / width %d, baseline \
+        "REGRESSED %s: %s (now %d points / %d open / width %d, baseline \
          %d / %d / %d)"
-        row.f_family row.f_game what row.points_n row.open_n row.front_width
-        baseline.points_n baseline.open_n baseline.front_width
+        (name row) what (points row) (open_ row) (width row) (points baseline)
+        (open_ baseline) (width baseline)
   | Frontier_new row ->
-      Format.fprintf ppf "new       %s %s: %d points, %d open, width %d (no \
-                          baseline)"
-        row.f_family row.f_game row.points_n row.open_n row.front_width
+      Format.fprintf ppf
+        "new       %s: %d points, %d open, width %d (no baseline)" (name row)
+        (points row) (open_ row) (width row)
 
 let frontier_regressed verdicts =
   List.exists (function Frontier_regressed _ -> true | _ -> false) verdicts
 
 (* ------------------------------------------------------------------ *)
-(* Convergence-curve gate (schema v10).  Unlike the width gates above,
-   this one is structural, not comparative: timing-sensitive baselines
-   flake in CI, but every honestly-recorded curve must be monotone and
-   must end exactly at the bracket it certifies — properties a fresh
-   run can violate only through a recording bug. *)
-
-module Convergence = Prbp_solver.Solver.Convergence
+(* Convergence-curve gate.  Unlike the width gates above, this one is
+   structural, not comparative: timing-sensitive baselines flake in
+   CI, but every honestly-recorded curve must be monotone and must end
+   exactly at the bracket it certifies — properties a fresh run can
+   violate only through a recording bug. *)
 
 type curve_verdict =
-  | Curve_ok of {
-      family : string;
-      game : string;
-      r : int;
-      points : int;
-      time_to_final : float;
-    }
-  | Curve_bad of { family : string; game : string; r : int; what : string }
+  | Curve_ok of { row : Wire.bracket; time_to_final : float }
+  | Curve_bad of { row : Wire.bracket; what : string }
 
-let check_curve ~family ~game ~r ~lower ~upper curve =
-  match Convergence.final curve with
-  | None -> Curve_bad { family; game; r; what = "empty curve" }
+let check_curve (row : Wire.bracket) =
+  let bad what = Curve_bad { row; what } in
+  match Convergence.final row.curve with
+  | None -> bad "empty curve"
   | Some (last : Convergence.point) ->
-      if not (Convergence.monotone curve) then
-        Curve_bad
-          {
-            family;
-            game;
-            r;
-            what =
-              "non-monotone curve (lower decreased, upper increased, or \
-               time ran backwards)";
-          }
-      else if last.Convergence.lower <> lower then
-        Curve_bad
-          {
-            family;
-            game;
-            r;
-            what =
-              Printf.sprintf "final lower %d <> certified %d"
-                last.Convergence.lower lower;
-          }
-      else if last.Convergence.upper <> Some upper then
-        Curve_bad
-          {
-            family;
-            game;
-            r;
-            what =
-              Printf.sprintf "final upper %s <> certified %d"
-                (match last.Convergence.upper with
-                | Some u -> string_of_int u
-                | None -> "none")
-                upper;
-          }
-      else
-        Curve_ok
-          {
-            family;
-            game;
-            r;
-            points = List.length curve;
-            time_to_final = last.Convergence.t_s;
-          }
+      if not (Convergence.monotone row.curve) then
+        bad
+          "non-monotone curve (lower decreased, upper increased, or time ran \
+           backwards)"
+      else if last.lower <> row.lower then
+        bad
+          (Printf.sprintf "final lower %d <> certified %d" last.lower row.lower)
+      else if last.upper <> Some row.upper then
+        bad
+          (Printf.sprintf "final upper %s <> certified %d"
+             (match last.upper with Some u -> string_of_int u | None -> "none")
+             row.upper)
+      else Curve_ok { row; time_to_final = last.t_s }
 
 let pp_curve_verdict ppf = function
-  | Curve_ok { family; game; r; points; time_to_final } ->
+  | Curve_ok { row; time_to_final } ->
       Format.fprintf ppf
-        "ok        %s %s r=%d: %d curve points, final at %.3fs" family game r
-        points time_to_final
-  | Curve_bad { family; game; r; what } ->
-      Format.fprintf ppf "BAD CURVE %s %s r=%d: %s" family game r what
+        "ok        %s %s r=%d: %d curve points, final at %.3fs"
+        (family row.family) (Wire.game_label row.game) row.r
+        (List.length row.curve) time_to_final
+  | Curve_bad { row; what } ->
+      Format.fprintf ppf "BAD CURVE %s %s r=%d: %s" (family row.family)
+        (Wire.game_label row.game) row.r what
 
 let curves_regressed verdicts =
   List.exists (function Curve_bad _ -> true | _ -> false) verdicts

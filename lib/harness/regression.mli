@@ -2,53 +2,48 @@
     benchmarks.
 
     A bracket's quality is its {e interval width} ([upper − lower]);
-    the committed [BENCH_solver.json] records one per bracket case.
-    This module parses those rows back out of the machine-written JSON
-    (one object per line — a field scan, no JSON dependency) and
-    compares a fresh run against them, flagging any case whose width
-    grew beyond a small slack.  [bench/main.exe --check-widths] and the
-    CI bracket smoke are the two callers.
+    the committed [BENCH_solver.json] records one per bracket case,
+    and one summed width per multiprocessor frontier case.  Those rows
+    are wire records ({!Prbp_wire.Wire.bracket},
+    {!Prbp_wire.Wire.frontier}), so this module reads them back with
+    the same codec that wrote them and compares a fresh run against
+    them, flagging any case whose width grew beyond a small slack.
+    [bench/main.exe --check-widths] and the CI bracket smoke are the
+    two callers.
 
     {b Schema history.}  [BENCH_solver.json] schema
-    ["prbp-solver-bench/v9"] adds a ["frontiers"] array of
-    ["kind":"frontier"] rows (one per multiprocessor frontier case,
-    carrying [points_n] / [front_n] / [open_n] / [front_width]); v8
-    files simply contain no such rows, so both generations parse under
-    the same lenient line scan — a v8 baseline yields bracket verdicts
-    and an empty frontier baseline, never an error.  Schema v10
-    ([{!Prbp_wire.Wire.bench_schema}]) adds a ["curve"] field to each
-    bracket row plus a ["convergence"] summary array; the curve gate
-    below ({!check_curve}) is {e structural} — monotonicity and
-    final-point agreement — because timing-comparative curve baselines
-    would flake in CI. *)
+    ["prbp-solver-bench/v9"] adds the ["frontiers"] array; a v8 file
+    has none and yields an empty frontier baseline.  Schema v10
+    ([{!Prbp_wire.Wire.bench_schema}]) adds a ["curve"] to each
+    bracket row; the curve gate below ({!check_curve}) is
+    {e structural} — monotonicity and final-point agreement — because
+    timing-comparative curve baselines would flake in CI. *)
 
-type row = {
-  family : string;  (** e.g. ["fft:128"] *)
-  game : string;  (** ["rbp"] or ["prbp"] *)
-  r : int;
-  interval_width : int;
-  lower_rule : string;  (** winning lower rule, ["?"] if absent *)
-  upper_rule : string;  (** winning upper method, ["?"] if absent *)
+type baseline = {
+  brackets : Prbp_wire.Wire.bracket list;  (** the ["brackets"] rows *)
+  frontiers : Prbp_wire.Wire.frontier list;  (** the ["frontiers"] rows *)
 }
 
-val key : row -> string * string * int
-(** Identity of a bench case: [(family, game, r)]. *)
+val of_string : string -> (baseline, string) result
+(** Decode a [BENCH_solver.json] document.  A row that does not decode
+    as its wire record is an [Error] naming the row, never a row
+    silently dropped from the baseline. *)
 
-val row_of_line : string -> row option
-(** Parse one line; [None] unless it is a bracket row carrying at
-    least family, game, [r] and [interval_width]. *)
-
-val rows_of_string : string -> row list
-
-val rows_of_file : string -> row list
-(** Raises [Sys_error] if the file cannot be read. *)
+val of_file : string -> (baseline, string) result
+(** {!of_string} on a file's contents.  Raises [Sys_error] if the file
+    cannot be read. *)
 
 type verdict =
-  | Ok_width of { row : row; baseline : int }
-  | Regressed of { row : row; baseline : int; limit : int }
-  | New_case of row  (** no baseline row with the same {!key} *)
+  | Ok_width of { row : Prbp_wire.Wire.bracket; baseline : int }
+  | Regressed of { row : Prbp_wire.Wire.bracket; baseline : int; limit : int }
+  | New_case of Prbp_wire.Wire.bracket
+      (** no baseline row with the same family, game and [r] *)
 
-val check : ?slack_pct:int -> baseline:row list -> row list -> verdict list
+val check :
+  ?slack_pct:int ->
+  baseline:Prbp_wire.Wire.bracket list ->
+  Prbp_wire.Wire.bracket list ->
+  verdict list
 (** One verdict per current row, in order.  A row regresses when its
     width exceeds its baseline by more than [slack_pct] percent
     ([10] by default) {e and} by more than one absolute unit — brackets
@@ -60,72 +55,47 @@ val pp_verdict : Format.formatter -> verdict -> unit
 val regressed : verdict list -> bool
 (** [true] iff some verdict is {!Regressed}. *)
 
-(** {1 Frontier rows (schema v9)} *)
-
-type frontier_row = {
-  f_family : string;  (** e.g. ["fft:64"] *)
-  f_game : string;  (** ["multi-rbp:P"] or ["multi-prbp:P"] *)
-  points_n : int;  (** feasible swept capacities *)
-  open_n : int;  (** points whose communication interval is open *)
-  front_width : int;  (** summed communication interval widths *)
-}
-
-val frontier_key : frontier_row -> string * string
-(** Identity of a frontier case: [(family, game)] — the game label
-    carries the processor count. *)
-
-val frontier_row_of_line : string -> frontier_row option
-(** Parse one line; [None] unless it is a ["kind":"frontier"] row
-    carrying all five fields. *)
-
-val frontier_rows_of_string : string -> frontier_row list
-
-val frontier_rows_of_file : string -> frontier_row list
-(** Raises [Sys_error] if the file cannot be read. *)
+(** {1 Frontier rows} *)
 
 type frontier_verdict =
-  | Frontier_ok of { row : frontier_row; baseline : frontier_row }
+  | Frontier_ok of {
+      row : Prbp_wire.Wire.frontier;
+      baseline : Prbp_wire.Wire.frontier;
+    }
   | Frontier_regressed of {
-      row : frontier_row;
-      baseline : frontier_row;
+      row : Prbp_wire.Wire.frontier;
+      baseline : Prbp_wire.Wire.frontier;
       what : string;  (** which gate tripped, human-readable *)
     }
-  | Frontier_new of frontier_row  (** no baseline with the same key *)
+  | Frontier_new of Prbp_wire.Wire.frontier
+      (** no baseline with the same family and game (the game label
+          carries the processor count) *)
 
 val check_frontiers :
   ?slack_pct:int ->
-  baseline:frontier_row list ->
-  frontier_row list ->
+  baseline:Prbp_wire.Wire.frontier list ->
+  Prbp_wire.Wire.frontier list ->
   frontier_verdict list
 (** One verdict per current row: a case regresses when it settles
     fewer points than the baseline, leaves more intervals open, or its
-    summed width grows past the same slack rule as {!check}. *)
+    summed width ({!Prbp_wire.Wire.frontier_width}) grows past the same
+    slack rule as {!check}. *)
 
 val pp_frontier_verdict : Format.formatter -> frontier_verdict -> unit
 
 val frontier_regressed : frontier_verdict list -> bool
 (** [true] iff some verdict is {!Frontier_regressed}. *)
 
-(** {1 Convergence curves (schema v10)} *)
+(** {1 Convergence curves} *)
 
 type curve_verdict =
   | Curve_ok of {
-      family : string;
-      game : string;
-      r : int;
-      points : int;
+      row : Prbp_wire.Wire.bracket;
       time_to_final : float;  (** when the final certified point landed *)
     }
-  | Curve_bad of { family : string; game : string; r : int; what : string }
+  | Curve_bad of { row : Prbp_wire.Wire.bracket; what : string }
 
-val check_curve :
-  family:string ->
-  game:string ->
-  r:int ->
-  lower:int ->
-  upper:int ->
-  Prbp_solver.Solver.Convergence.curve ->
-  curve_verdict
+val check_curve : Prbp_wire.Wire.bracket -> curve_verdict
 (** Structural gate over one bracket's convergence curve: non-empty,
     {!Prbp_solver.Solver.Convergence.monotone}, and its final point
     equal to the certified bracket [(lower, Some upper)].  Deliberately

@@ -1,15 +1,13 @@
 module Dag = Prbp_dag.Dag
 
-exception Too_large = Game.Too_large
-
 (* The black pebble game as an all-zero-cost instance of the generic
    engine: a state is the (pebbled-node mask, visited-sink mask) pair,
    every transition is free (only the peak pebble count matters, and
    that is capped by construction), so feasibility at capacity s is
-   plain reachability — [opt_opt] returns [Some 0] iff a complete
-   pebbling exists.  Branch-and-bound never fires (all distances are
-   0); the engine is used purely as the shared table + queue + budget
-   machinery. *)
+   plain reachability — [solve] settles [Optimal] (at cost 0) iff a
+   complete pebbling exists.  Branch-and-bound never fires (all
+   distances are 0); the engine is used purely as the shared table +
+   queue + budget machinery. *)
 
 type move = Place of int | Slide of int * int | Remove of int
 
@@ -98,33 +96,19 @@ let budget_of_max_states max_states =
 
 let feasible ?sliding ?max_states ~s g =
   match solve ~budget:(budget_of_max_states max_states) ?sliding ~s g with
-  | Solver.Optimal _ -> true
-  | Solver.Unsolvable _ -> false
-  | Solver.Bounded _ ->
-      raise (Game.Too_large (Option.value max_states ~default:default_states))
-
-let feasible_stats ?sliding ?max_states ~s g =
-  match solve ~budget:(budget_of_max_states max_states) ?sliding ~s g with
-  | Solver.Optimal { Solver.cost; stats; _ } ->
-      Some
-        {
-          Game.cost;
-          explored = stats.Solver.explored;
-          pruned = stats.Solver.pruned;
-        }
-  | Solver.Unsolvable _ -> None
-  | Solver.Bounded _ ->
-      raise (Game.Too_large (Option.value max_states ~default:default_states))
+  | Solver.Optimal _ -> Some true
+  | Solver.Unsolvable _ -> Some false
+  | Solver.Bounded _ -> None
 
 let number ?sliding ?max_states g =
   let n = Dag.n_nodes g in
-  if n = 0 then 0
-  else begin
-    let rec go s =
-      if s > n then
-        failwith "Black.number: internal: no feasible capacity up to n"
-      else if feasible ?sliding ?max_states ~s g then s
-      else go (s + 1)
-    in
-    go 1
-  end
+  let rec go s =
+    if s > n then
+      failwith "Black.number: internal: no feasible capacity up to n"
+    else
+      match feasible ?sliding ?max_states ~s g with
+      | Some true -> Some s
+      | Some false -> go (s + 1)
+      | None -> None
+  in
+  if n = 0 then Some 0 else go 1

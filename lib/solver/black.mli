@@ -20,10 +20,6 @@
     exactly "the engine finds a goal state" — the third game sharing
     the one search core, after {!Exact_rbp} and {!Exact_prbp}. *)
 
-exception Too_large of int
-(** Alias (rebinding) of the engine-wide {!Game.Too_large} — matching
-    either name catches the same exception. *)
-
 type move = Place of int | Slide of int * int | Remove of int
 (** The black-game move vocabulary; [solve ~want_strategy:true]
     reconstructs one complete pebbling as a move list. *)
@@ -48,24 +44,15 @@ val solve :
     {!Engine.Make.solve}. *)
 
 val feasible :
-  ?sliding:bool -> ?max_states:int -> s:int -> Prbp_dag.Dag.t -> bool
+  ?sliding:bool -> ?max_states:int -> s:int -> Prbp_dag.Dag.t -> bool option
 (** Is there a complete black pebbling using at most [s] pebbles?
     Decided by exhaustive search over (pebble-set, visited-sinks)
-    states; [max_states] defaults to [2_000_000].  Raises
-    {!Too_large} where {!solve} would return [Bounded]. *)
+    states; [max_states] defaults to [2_000_000].  [None] when the
+    state budget runs out first (where {!solve} returns [Bounded]). *)
 
-val feasible_stats :
-  ?sliding:bool ->
-  ?max_states:int ->
-  s:int ->
-  Prbp_dag.Dag.t ->
-  Game.stats option
-[@@deprecated "use solve: its outcome carries the same stats"]
-(** Like {!feasible}, with the engine's explored-state counters:
-    [Some stats] (with [stats.cost = 0] — all moves are free) when
-    feasible, [None] otherwise. *)
-
-val number : ?sliding:bool -> ?max_states:int -> Prbp_dag.Dag.t -> int
-(** The pebbling number: the least [s] with [feasible ~s].  At most
-    [n]; at least [Δin + 1] without sliding ([Δin] with, when
-    [Δin ≥ 1]). *)
+val number :
+  ?sliding:bool -> ?max_states:int -> Prbp_dag.Dag.t -> int option
+(** The pebbling number: the least [s] with [feasible ~s = Some true].
+    At most [n]; at least [Δin + 1] without sliding ([Δin] with, when
+    [Δin ≥ 1]).  [None] when the state budget of one of the feasibility
+    solves runs out before the number is settled. *)

@@ -1227,38 +1227,4 @@ module Make (G : Game.S) = struct
       Span.with_ ~name:("solve." ^ G.name)
         ~attrs:[ ("game", G.name); ("width", string_of_int (G.width inst)) ]
         go
-
-  (* -- deprecated pre-anytime surface, kept as thin wrappers -------- *)
-
-  let search ?(max_states = 5_000_000) ?(prune = true) ~want_strategy inst =
-    match
-      solve ~budget:(Solver.Budget.states max_states) ~want_strategy ~prune
-        inst
-    with
-    | Solver.Optimal { cost; strategy; stats } ->
-        Some
-          ( cost,
-            Option.value strategy ~default:[],
-            {
-              Game.cost;
-              explored = stats.Solver.explored;
-              pruned = stats.Solver.pruned;
-            } )
-    | Solver.Unsolvable _ -> None
-    | Solver.Bounded _ -> raise (Game.Too_large max_states)
-
-  let opt_opt ?max_states ?prune inst =
-    Option.map
-      (fun (d, _, _) -> d)
-      (search ?max_states ?prune ~want_strategy:false inst)
-
-  let opt_stats ?max_states ?prune inst =
-    Option.map
-      (fun (_, _, stats) -> stats)
-      (search ?max_states ?prune ~want_strategy:false inst)
-
-  let opt_with_strategy ?max_states ?prune inst =
-    Option.map
-      (fun (d, moves, _) -> (d, moves))
-      (search ?max_states ?prune ~want_strategy:true inst)
 end

@@ -20,8 +20,7 @@
     {!Solver.Telemetry} sink, and always returns a {!Solver.outcome} —
     a proven optimum, a certified [lower ≤ OPT ≤ upper] interval when
     the budget stops the search first, or a proof that no goal state is
-    reachable.  The pre-anytime quartet below survives as deprecated
-    wrappers that translate [Bounded] back into {!Game.Too_large}. *)
+    reachable.  Nothing raises when the budget runs out. *)
 
 module Make (G : Game.S) : sig
   val solve :
@@ -60,29 +59,4 @@ module Make (G : Game.S) : sig
       degrades to evicting settled states to disk instead of stopping,
       unless [want_strategy] is set (spilling would orphan the parent
       pointers; such solves stop at [max_words] as before). *)
-
-  val search :
-    ?max_states:int ->
-    ?prune:bool ->
-    want_strategy:bool ->
-    G.inst ->
-    (int * G.move list * Game.stats) option
-  [@@deprecated "use solve: it returns a certified interval instead of \
-                 raising Game.Too_large"]
-  (** [Some (opt, moves, stats)], [None] when no goal is reachable;
-      raises {!Game.Too_large} where [solve] would return [Bounded]. *)
-
-  val opt_opt : ?max_states:int -> ?prune:bool -> G.inst -> int option
-  [@@deprecated "use solve"]
-
-  val opt_stats :
-    ?max_states:int -> ?prune:bool -> G.inst -> Game.stats option
-  [@@deprecated "use solve"]
-
-  val opt_with_strategy :
-    ?max_states:int ->
-    ?prune:bool ->
-    G.inst ->
-    (int * G.move list) option
-  [@@deprecated "use solve ~want_strategy:true"]
 end

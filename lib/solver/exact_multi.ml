@@ -1,10 +1,6 @@
 module Dag = Prbp_dag.Dag
 module Multi = Prbp_pebble.Multi
 
-exception Too_large = Game.Too_large
-
-type stats = Game.stats = { cost : int; explored : int; pruned : int }
-
 (* The multiprocessor games as engine instances.  Both pack one search
    state as a short int array of per-processor pebble masks plus the
    shared blue/progress masks:
@@ -194,8 +190,6 @@ let rbp_inst ~canon ~ub (cfg : Multi.config) g =
     ub;
   }
 
-let default_states = Solver.Budget.default.Solver.Budget.max_states
-
 (* Shared outcome plumbing for both multiprocessor games: seed the
    bound, disable processor-canonicalization when a replayable strategy
    is wanted, lift the single-processor incumbent onto processor 0 when
@@ -220,47 +214,6 @@ let rbp_solve ?budget ?telemetry ?want_strategy ?(prune = true) ?jobs cfg g =
     ~inst:(fun ~canon ~ub -> rbp_inst ~canon ~ub cfg g)
     ~seed:(if prune then rbp_heuristic_seed cfg g else None)
     ~lift:Multi.lift_rbp ?budget ?telemetry ?want_strategy ~prune ?jobs ()
-
-(* -- deprecated pre-anytime surface --------------------------------- *)
-
-let rbp_opt_opt ?(max_states = default_states) ?(prune = true) cfg g =
-  match
-    rbp_solve ~budget:(Solver.Budget.states max_states) ~prune cfg g
-  with
-  | Solver.Optimal { Solver.cost; _ } -> Some cost
-  | Solver.Unsolvable _ -> None
-  | Solver.Bounded _ -> raise (Game.Too_large max_states)
-
-let rbp_opt_stats ?(max_states = default_states) ?(prune = true) cfg g =
-  match
-    rbp_solve ~budget:(Solver.Budget.states max_states) ~prune cfg g
-  with
-  | Solver.Optimal { Solver.cost; stats; _ } ->
-      Some
-        {
-          Game.cost;
-          explored = stats.Solver.explored;
-          pruned = stats.Solver.pruned;
-        }
-  | Solver.Unsolvable _ -> None
-  | Solver.Bounded _ -> raise (Game.Too_large max_states)
-
-let rbp_opt ?max_states ?prune cfg g =
-  match rbp_opt_opt ?max_states ?prune cfg g with
-  | Some d -> d
-  | None -> failwith "Exact_multi.rbp_opt: no valid pebbling exists"
-
-let rbp_opt_with_strategy ?(max_states = default_states) ?(prune = true)
-    cfg g =
-  match
-    rbp_solve
-      ~budget:(Solver.Budget.states max_states)
-      ~want_strategy:true ~prune cfg g
-  with
-  | Solver.Optimal { Solver.cost; strategy; _ } ->
-      Some (cost, Option.value strategy ~default:[])
-  | Solver.Unsolvable _ -> None
-  | Solver.Bounded _ -> raise (Game.Too_large max_states)
 
 (* {1 PRBP-MC} *)
 
@@ -495,44 +448,3 @@ let prbp_solve ?budget ?telemetry ?want_strategy ?(prune = true) ?jobs cfg g =
     ~inst:(fun ~canon ~ub -> prbp_inst ~canon ~ub cfg g)
     ~seed:(if prune then prbp_heuristic_seed cfg g else None)
     ~lift:Multi.lift_prbp ?budget ?telemetry ?want_strategy ~prune ?jobs ()
-
-(* -- deprecated pre-anytime surface --------------------------------- *)
-
-let prbp_opt_opt ?(max_states = default_states) ?(prune = true) cfg g =
-  match
-    prbp_solve ~budget:(Solver.Budget.states max_states) ~prune cfg g
-  with
-  | Solver.Optimal { Solver.cost; _ } -> Some cost
-  | Solver.Unsolvable _ -> None
-  | Solver.Bounded _ -> raise (Game.Too_large max_states)
-
-let prbp_opt_stats ?(max_states = default_states) ?(prune = true) cfg g =
-  match
-    prbp_solve ~budget:(Solver.Budget.states max_states) ~prune cfg g
-  with
-  | Solver.Optimal { Solver.cost; stats; _ } ->
-      Some
-        {
-          Game.cost;
-          explored = stats.Solver.explored;
-          pruned = stats.Solver.pruned;
-        }
-  | Solver.Unsolvable _ -> None
-  | Solver.Bounded _ -> raise (Game.Too_large max_states)
-
-let prbp_opt ?max_states ?prune cfg g =
-  match prbp_opt_opt ?max_states ?prune cfg g with
-  | Some d -> d
-  | None -> failwith "Exact_multi.prbp_opt: no valid pebbling exists"
-
-let prbp_opt_with_strategy ?(max_states = default_states) ?(prune = true)
-    cfg g =
-  match
-    prbp_solve
-      ~budget:(Solver.Budget.states max_states)
-      ~want_strategy:true ~prune cfg g
-  with
-  | Solver.Optimal { Solver.cost; strategy; _ } ->
-      Some (cost, Option.value strategy ~default:[])
-  | Solver.Unsolvable _ -> None
-  | Solver.Bounded _ -> raise (Game.Too_large max_states)

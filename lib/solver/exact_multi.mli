@@ -30,20 +30,6 @@
     configs — checked by the engine regression suite and certified
     across DAG families by experiment E29. *)
 
-exception Too_large of int
-(** Raised only by the deprecated wrappers.  Alias (rebinding) of the
-    engine-wide {!Game.Too_large} — matching either name catches the
-    same exception.  The [solve] entry points never raise it. *)
-
-type stats = Game.stats = {
-  cost : int;  (** the optimal I/O cost *)
-  explored : int;  (** distinct states inserted into the search *)
-  pruned : int;
-      (** states cut by branch-and-bound against the single-processor
-          heuristic upper bound (sound: any 1-processor strategy is a
-          [p]-processor strategy played on processor 0) *)
-}
-
 (** {1 RBP-MC} *)
 
 val rbp_solve :
@@ -68,41 +54,6 @@ val rbp_solve :
     (default 1) searches on that many domains; see
     {!Engine.Make.solve} for the determinism contract. *)
 
-val rbp_opt :
-  ?max_states:int ->
-  ?prune:bool ->
-  Prbp_pebble.Multi.config ->
-  Prbp_dag.Dag.t ->
-  int
-[@@deprecated "use rbp_solve"]
-(** Optimal total I/O, or [Failure] when none exists.  [max_states]
-    defaults to [5_000_000]; raises {!Too_large} where [rbp_solve]
-    would return [Bounded]. *)
-
-val rbp_opt_opt :
-  ?max_states:int ->
-  ?prune:bool ->
-  Prbp_pebble.Multi.config ->
-  Prbp_dag.Dag.t ->
-  int option
-[@@deprecated "use rbp_solve"]
-
-val rbp_opt_stats :
-  ?max_states:int ->
-  ?prune:bool ->
-  Prbp_pebble.Multi.config ->
-  Prbp_dag.Dag.t ->
-  stats option
-[@@deprecated "use rbp_solve"]
-
-val rbp_opt_with_strategy :
-  ?max_states:int ->
-  ?prune:bool ->
-  Prbp_pebble.Multi.config ->
-  Prbp_dag.Dag.t ->
-  (int * Prbp_pebble.Multi.Move.rbp list) option
-[@@deprecated "use rbp_solve ~want_strategy:true"]
-
 (** {1 PRBP-MC} *)
 
 val prbp_solve :
@@ -119,35 +70,3 @@ val prbp_solve :
     replayable through {!Prbp_pebble.Multi.P.check}.
     {!Solver.Unsolvable} only at [r = 1] — PRBP pebbles every DAG once
     [r ≥ 2]. *)
-
-val prbp_opt :
-  ?max_states:int ->
-  ?prune:bool ->
-  Prbp_pebble.Multi.config ->
-  Prbp_dag.Dag.t ->
-  int
-[@@deprecated "use prbp_solve"]
-
-val prbp_opt_opt :
-  ?max_states:int ->
-  ?prune:bool ->
-  Prbp_pebble.Multi.config ->
-  Prbp_dag.Dag.t ->
-  int option
-[@@deprecated "use prbp_solve"]
-
-val prbp_opt_stats :
-  ?max_states:int ->
-  ?prune:bool ->
-  Prbp_pebble.Multi.config ->
-  Prbp_dag.Dag.t ->
-  stats option
-[@@deprecated "use prbp_solve"]
-
-val prbp_opt_with_strategy :
-  ?max_states:int ->
-  ?prune:bool ->
-  Prbp_pebble.Multi.config ->
-  Prbp_dag.Dag.t ->
-  (int * Prbp_pebble.Multi.Move.prbp list) option
-[@@deprecated "use prbp_solve ~want_strategy:true"]

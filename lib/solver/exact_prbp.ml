@@ -3,8 +3,6 @@ module Prbp = Prbp_pebble.Prbp
 module PM = Prbp_pebble.Move.P
 
 
-type stats = Game.stats = { cost : int; explored : int; pruned : int }
-
 (* The PRBP instance of the generic engine.  Pebble states are packed
    2 bits per node:
      00 = no pebble, 01 = blue, 11 = blue + light red, 10 = dark red.

@@ -18,15 +18,6 @@
     space stays finite, but grows quickly; expect smaller feasible
     sizes. *)
 
-type stats = Game.stats = {
-  cost : int;  (** the optimal I/O cost *)
-  explored : int;  (** distinct states inserted into the search *)
-  pruned : int;
-      (** states cut by branch-and-bound: their distance plus an
-          admissible residual bound exceeded the heuristic upper
-          bound, so they were never inserted *)
-}
-
 val solve :
   ?budget:Solver.Budget.t ->
   ?telemetry:Solver.Telemetry.sink ->

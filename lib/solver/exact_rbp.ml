@@ -3,8 +3,6 @@ module Rbp = Prbp_pebble.Rbp
 module RM = Prbp_pebble.Move.R
 
 
-type stats = Game.stats = { cost : int; explored : int; pruned : int }
-
 (* The classic-RBP instance of the generic engine: a state is the
    (red, blue, comp) bitmask triple, packed as 3 ints.  All search
    machinery (state table, 0-1 deque, settled encoding, B&B) lives in

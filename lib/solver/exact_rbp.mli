@@ -16,15 +16,6 @@
     This is what certifies statements like [OPT_RBP = 3] on the
     Figure-1 DAG (Proposition 4.2). *)
 
-type stats = Game.stats = {
-  cost : int;  (** the optimal I/O cost *)
-  explored : int;  (** distinct states inserted into the search *)
-  pruned : int;
-      (** states cut by branch-and-bound: their distance plus an
-          admissible residual bound exceeded the heuristic upper
-          bound, so they were never inserted *)
-}
-
 val solve :
   ?budget:Solver.Budget.t ->
   ?telemetry:Solver.Telemetry.sink ->

@@ -1,7 +1,3 @@
-exception Too_large of int
-
-type stats = { cost : int; explored : int; pruned : int }
-
 module type S = sig
   type inst
 

@@ -19,23 +19,6 @@
     buffers and the games read/write raw packed words
     ({!State_table.Flat} stores them column-wise). *)
 
-exception Too_large of int
-(** Raised by the remaining deprecated engine-backed wrappers when the
-    state count exceeds the [max_states] budget.  This is the
-    {e single} such exception in the library: [Black.Too_large] and
-    [Exact_multi.Too_large] are aliases of it, so callers match either
-    name and catch them all.  The unified [solve] entry points never
-    raise it. *)
-
-type stats = {
-  cost : int;  (** the optimal 0-1 distance (I/O cost) *)
-  explored : int;  (** distinct states inserted into the search *)
-  pruned : int;
-      (** states cut by branch-and-bound: their distance plus the
-          admissible residual bound exceeded the heuristic upper
-          bound, so they were never inserted *)
-}
-
 (** The game interface.  All state buffers have exactly
     [width inst] ints; games must not retain the buffers they are
     handed (the engine reuses them). *)

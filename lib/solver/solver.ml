@@ -1,7 +1,7 @@
 (* Resource governance and observability for the exact solvers: the
    budget record every engine-backed solve honours, the telemetry sink
-   the search loop reports into, and the anytime outcome type that
-   replaces the all-or-nothing optimum-or-[Too_large] contract. *)
+   the search loop reports into, and the anytime outcome type: an
+   optimum, a certified interval, or a proof of infeasibility. *)
 
 module Budget = struct
   type t = {

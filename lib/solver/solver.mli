@@ -8,8 +8,7 @@
     lower bound from the settled 0-1 BFS frontier plus the game's
     admissible residual, the upper bound from the branch-and-bound
     incumbent), or proves that no complete pebbling exists at all.
-    Nothing raises {!Game.Too_large} anymore except the deprecated
-    compatibility wrappers.
+    Running out of budget is an outcome, never an exception.
 
     The {!Telemetry} sink makes long searches observable: progress
     callbacks every K expansions with explored/pruned counts, frontier

@@ -1,7 +1,10 @@
 module Dag = Prbp_dag.Dag
+module Json = Prbp_obs.Json
 module Move = Prbp_pebble.Move
 module Multi = Prbp_pebble.Multi
 module Solver = Prbp_solver.Solver
+module Convergence = Solver.Convergence
+module Telemetry = Solver.Telemetry
 module Bracket = Prbp_bounds.Bracket
 module Lower = Prbp_bounds.Lower
 module Upper = Prbp_bounds.Upper
@@ -16,69 +19,218 @@ let version = 1
 let bench_schema = "prbp-solver-bench/v10"
 
 (* ------------------------------------------------------------------ *)
-(* Decoder plumbing.  Decoders thread a [(_, string) result] monad so
-   every failure carries the field that caused it. *)
+(* The codec.  Every record below is declared once, as an encoder and
+   a decoder read off the same member list, so the two cannot drift
+   apart.  Decoders are total: a failure is an [Error] naming the
+   field that caused it, never an exception, because the daemon feeds
+   them straight from the network. *)
+
+type 'a codec = { enc : 'a -> Json.t; dec : Json.t -> ('a, string) result }
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
+let scalar what enc to_ =
+  let dec j =
+    match to_ j with Some x -> Ok x | None -> Error ("expected " ^ what)
+  in
+  { enc; dec }
 
-let as_ what conv name j =
-  let* v = field name j in
-  match conv v with
-  | Some x -> Ok x
-  | None -> Error (Printf.sprintf "field %S: expected %s" name what)
+let int = scalar "an integer" (fun i -> Json.Int i) Json.to_int
 
-let int_field = as_ "an integer" Json.to_int
+let float = scalar "a number" (fun f -> Json.Float f) Json.to_float
 
-let float_field = as_ "a number" Json.to_float
+let bool = scalar "a boolean" (fun b -> Json.Bool b) Json.to_bool
 
-let bool_field = as_ "a boolean" Json.to_bool
+let string = scalar "a string" (fun s -> Json.String s) Json.to_str
 
-let str_field = as_ "a string" Json.to_str
+let json = { enc = Fun.id; dec = Result.ok }
 
-let list_field = as_ "an array" Json.to_list
+(* ['b] carried as ['a]: [enc] is total, [dec] may refuse *)
+let conv ~enc ~dec c =
+  { enc = (fun x -> c.enc (enc x)); dec = (fun j -> Result.bind (c.dec j) dec) }
 
-let flag name j =
-  (* absent boolean flags read as false, so clients can omit them *)
-  match Json.member name j with
-  | Some v -> (
-      match Json.to_bool v with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "field %S: expected a boolean" name))
-  | None -> Ok false
+let check ok what c =
+  conv ~enc:Fun.id ~dec:(fun x -> if ok x then Ok x else Error what) c
 
-let opt_conv what conv name j =
-  match Json.member name j with
-  | Some Json.Null | None -> Ok None
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok (Some x)
-      | None -> Error (Printf.sprintf "field %S: expected %s" name what))
+let nonneg = check (fun i -> i >= 0) "negative" int
 
-let opt_int = opt_conv "an integer" Json.to_int
+let enum what cases =
+  conv string
+    ~enc:(fun x -> fst (List.find (fun (_, y) -> y = x) cases))
+    ~dec:(fun s ->
+      match List.assoc_opt s cases with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "unknown %s %S" what s))
 
-let opt_str = opt_conv "a string" Json.to_str
+let rec decode_all c acc = function
+  | [] -> Ok (List.rev acc)
+  | j :: js ->
+      let* x = c.dec j in
+      decode_all c (x :: acc) js
 
-let check_version j =
-  let* v = int_field "v" j in
-  if v = version then Ok ()
-  else Error (Printf.sprintf "unsupported wire version %d (want %d)" v version)
+let list c =
+  {
+    enc = (fun xs -> Json.List (List.map c.enc xs));
+    dec =
+      (function
+      | Json.List l -> decode_all c [] l | _ -> Error "expected an array");
+  }
 
-let parse s =
+let pair a b =
+  {
+    enc = (fun (x, y) -> Json.List [ a.enc x; b.enc y ]);
+    dec =
+      (function
+      | Json.List [ x; y ] ->
+          let* x = a.dec x in
+          let* y = b.dec y in
+          Ok (x, y)
+      | _ -> Error "expected a [_, _] pair");
+  }
+
+let triple a b c =
+  {
+    enc = (fun (x, y, z) -> Json.List [ a.enc x; b.enc y; c.enc z ]);
+    dec =
+      (function
+      | Json.List [ x; y; z ] ->
+          let* x = a.dec x in
+          let* y = b.dec y in
+          let* z = c.dec z in
+          Ok (x, y, z)
+      | _ -> Error "expected a [_, _, _] triple");
+  }
+
+(* [null] is [None] *)
+let nullable c =
+  {
+    enc = (function Some x -> c.enc x | None -> Json.Null);
+    dec =
+      (function
+      | Json.Null -> Ok None | j -> Result.map Option.some (c.dec j));
+  }
+
+(* [null] decodes as [d] *)
+let or_null d c = { c with dec = (function Json.Null -> Ok d | j -> c.dec j) }
+
+(* An object under construction, members in wire order.  [put r tl]
+   prepends the members declared so far to the members [tl] that
+   follow them; [get] reads them back in the same order, feeding each
+   to the constructor ['k]. *)
+type ('o, 'k) obj = {
+  put : 'o -> (string * Json.t) list -> (string * Json.t) list;
+  get : (string * Json.t) list -> ('k, string) result;
+}
+
+let obj k = { put = (fun _ tl -> tl); get = (fun _ -> Ok k) }
+
+let read ?default name c kvs =
+  match (List.assoc_opt name kvs, default) with
+  | None, Some d -> Ok d
+  | None, None -> Error (Printf.sprintf "missing field %S" name)
+  | Some j, _ -> (
+      match c.dec j with
+      | Ok _ as ok -> ok
+      | Error e -> Error (Printf.sprintf "field %S: %s" name e))
+
+(* [default] stands in for an absent member, [omit] leaves a value off
+   the wire *)
+let mem ?default ?omit name c ~enc o =
+  {
+    put =
+      (fun r tl ->
+        let x = enc r in
+        o.put r
+          (match omit with
+          | Some skip when skip x -> tl
+          | _ -> (name, c.enc x) :: tl));
+    get =
+      (fun kvs ->
+        let* k = o.get kvs in
+        let* x = read ?default name c kvs in
+        Ok (k x));
+  }
+
+(* absent and [null] both read as [None]; [None] is not written *)
+let opt name c ~enc o =
+  mem ~default:None ~omit:Option.is_none name (nullable c) ~enc o
+
+(* absent boolean flags read as false, so clients can omit them *)
+let flag name ~enc o = mem ~default:false name bool ~enc o
+
+(* written, never read: duplicated spellings and derived metrics *)
+let emit name c ~enc o =
+  { o with put = (fun r tl -> o.put r ((name, c.enc (enc r)) :: tl)) }
+
+(* written as [x], and required to read back as [x] *)
+let const name c x o =
+  let j = c.enc x in
+  {
+    put = (fun r tl -> o.put r ((name, j) :: tl));
+    get =
+      (fun kvs ->
+        let* k = o.get kvs in
+        let* y = read name c kvs in
+        if y = x then Ok k
+        else
+          Error
+            (Printf.sprintf "field %S: expected %s, got %s" name
+               (Json.to_string j) (Json.to_string (c.enc y))));
+  }
+
+(* the members of [f] inlined into this object *)
+let splice f ~enc o =
+  {
+    put = (fun r tl -> o.put r (f.put (enc r) tl));
+    get =
+      (fun kvs ->
+        let* k = o.get kvs in
+        let* x = f.get kvs in
+        Ok (k x));
+  }
+
+let finish o =
+  {
+    enc = (fun r -> Json.Obj (o.put r []));
+    dec =
+      (function
+      | Json.Obj kvs -> o.get kvs | _ -> Error "expected an object");
+  }
+
+(* One case of a tagged union: its tag, its members, and the
+   injection/projection between its payload and the union. *)
+type 'a case =
+  | Case : string * ('p, 'p) obj * ('p -> 'a) * ('a -> 'p option) -> 'a case
+
+let case tag members ~inj ~proj = Case (tag, members, inj, proj)
+
+(* members [tag] (naming the case) then the case's own *)
+let union what tag cases =
+  {
+    put =
+      (fun x tl ->
+        let rec go = function
+          | [] -> invalid_arg ("Wire: no case for this " ^ what)
+          | Case (name, f, _, proj) :: rest -> (
+              match proj x with
+              | Some p -> (tag, Json.String name) :: f.put p tl
+              | None -> go rest)
+        in
+        go cases);
+    get =
+      (fun kvs ->
+        let* name = read tag string kvs in
+        match List.find_opt (fun (Case (n, _, _, _)) -> n = name) cases with
+        | Some (Case (_, f, inj, _)) -> Result.map inj (f.get kvs)
+        | None -> Error (Printf.sprintf "unknown %s %S" what name));
+  }
+
+let encode c x = Json.to_string (c.enc x)
+
+let decode c s =
   match Json.of_string s with
-  | Ok j -> Ok j
+  | Ok j -> c.dec j
   | Error e -> Error ("invalid JSON: " ^ e)
-
-let rec map_m f = function
-  | [] -> Ok []
-  | x :: xs ->
-      let* y = f x in
-      let* ys = map_m f xs in
-      Ok (y :: ys)
 
 (* ------------------------------------------------------------------ *)
 (* Vocabulary *)
@@ -113,30 +265,18 @@ let game_of_label s =
           | Some r -> r
           | None -> Error (Printf.sprintf "unknown game %S" s)))
 
-let game_field j =
-  let* s = str_field "game" j in
-  game_of_label s
+let game_c = conv string ~enc:game_label ~dec:game_of_label
 
 type variants = { sliding : bool; recompute : bool; no_delete : bool }
 
 let no_variants = { sliding = false; recompute = false; no_delete = false }
 
-let variants_json v =
-  Json.Obj
-    [
-      ("sliding", Json.Bool v.sliding);
-      ("recompute", Json.Bool v.recompute);
-      ("no_delete", Json.Bool v.no_delete);
-    ]
-
-let variants_field j =
-  match Json.member "variants" j with
-  | Some Json.Null | None -> Ok no_variants
-  | Some vj ->
-      let* sliding = flag "sliding" vj in
-      let* recompute = flag "recompute" vj in
-      let* no_delete = flag "no_delete" vj in
-      Ok { sliding; recompute; no_delete }
+let variants_c =
+  obj (fun sliding recompute no_delete -> { sliding; recompute; no_delete })
+  |> flag "sliding" ~enc:(fun v -> v.sliding)
+  |> flag "recompute" ~enc:(fun v -> v.recompute)
+  |> flag "no_delete" ~enc:(fun v -> v.no_delete)
+  |> finish |> or_null no_variants
 
 type budget = {
   max_states : int option;
@@ -146,24 +286,13 @@ type budget = {
 
 let no_budget = { max_states = None; max_millis = None; max_words = None }
 
-let budget_json b =
-  Json.Obj
-    (List.filter_map
-       (fun (k, v) -> Option.map (fun i -> (k, Json.Int i)) v)
-       [
-         ("max_states", b.max_states);
-         ("max_millis", b.max_millis);
-         ("max_words", b.max_words);
-       ])
-
-let budget_field j =
-  match Json.member "budget" j with
-  | Some Json.Null | None -> Ok no_budget
-  | Some bj ->
-      let* max_states = opt_int "max_states" bj in
-      let* max_millis = opt_int "max_millis" bj in
-      let* max_words = opt_int "max_words" bj in
-      Ok { max_states; max_millis; max_words }
+let budget_c =
+  obj (fun max_states max_millis max_words ->
+      { max_states; max_millis; max_words })
+  |> opt "max_states" int ~enc:(fun b -> b.max_states)
+  |> opt "max_millis" int ~enc:(fun b -> b.max_millis)
+  |> opt "max_words" int ~enc:(fun b -> b.max_words)
+  |> finish |> or_null no_budget
 
 let budget_class b =
   (* power-of-two bucket per cap: v and v' share a bucket iff the
@@ -186,85 +315,40 @@ let budget_class b =
 (* ------------------------------------------------------------------ *)
 (* DAG payload *)
 
-let default_name i = "v" ^ string_of_int i
-
-let dag_json g =
-  let n = Dag.n_nodes g in
-  let edges =
-    List.map (fun (u, v) -> Json.List [ Json.Int u; Json.Int v ]) (Dag.edges g)
-  in
-  let base = [ ("nodes", Json.Int n); ("edges", Json.List edges) ] in
-  let named =
-    (* Dag only exposes resolved names; serialize them iff any differ
-       from the positional default *)
-    let custom = ref false in
-    for i = 0 to n - 1 do
-      if Dag.name g i <> default_name i then custom := true
-    done;
-    if !custom then
-      base
-      @ [
-          ( "names",
-            Json.List (List.init n (fun i -> Json.String (Dag.name g i))) );
-        ]
-    else base
-  in
-  match Dag.family g with
-  | Some f -> Json.Obj (named @ [ ("family", Json.String f) ])
-  | None -> Json.Obj named
-
-let dag_of_json j =
-  let* n = int_field "nodes" j in
-  if n < 0 then Error "field \"nodes\": negative"
-  else
-    let* edges_j = list_field "edges" j in
-    let* edges =
-      map_m
-        (fun e ->
-          match e with
-          | Json.List [ u; v ] -> (
-              match (Json.to_int u, Json.to_int v) with
-              | Some u, Some v -> Ok (u, v)
-              | _ -> Error "field \"edges\": endpoints must be integers")
-          | _ -> Error "field \"edges\": expected [u,v] pairs")
-        edges_j
-    in
-    let* names =
-      match Json.member "names" j with
-      | Some Json.Null | None -> Ok None
-      | Some (Json.List l) when List.length l = n ->
-          let* names =
-            map_m
-              (fun s ->
-                match Json.to_str s with
-                | Some s -> Ok s
-                | None -> Error "field \"names\": expected strings")
-              l
-          in
-          Ok (Some (Array.of_list names))
-      | Some _ -> Error "field \"names\": expected an array of length nodes"
-    in
-    let* family = opt_str "family" j in
-    match Dag.make ?names ?family ~n edges with
-    | g -> Ok g
-    | exception Invalid_argument e -> Error ("invalid DAG: " ^ e)
-    | exception Dag.Cycle _ -> Error "invalid DAG: contains a cycle"
+let dag_c =
+  let default_name i = "v" ^ string_of_int i in
+  obj (fun n edges names family -> (n, edges, names, family))
+  |> mem "nodes" nonneg ~enc:(fun (n, _, _, _) -> n)
+  |> mem "edges" (list (pair int int)) ~enc:(fun (_, es, _, _) -> es)
+  |> opt "names" (list string) ~enc:(fun (_, _, names, _) -> names)
+  |> opt "family" string ~enc:(fun (_, _, _, f) -> f)
+  |> finish
+  |> conv
+       ~enc:(fun g ->
+         let n = Dag.n_nodes g in
+         let names = List.init n (Dag.name g) in
+         (* Dag only exposes resolved names; serialize them iff any
+            differ from the positional default *)
+         let custom =
+           List.filteri (fun i s -> s <> default_name i) names <> []
+         in
+         (n, Dag.edges g, (if custom then Some names else None), Dag.family g))
+       ~dec:(fun (n, edges, names, family) ->
+         match names with
+         | Some l when List.length l <> n ->
+             Error "field \"names\": expected an array of length nodes"
+         | _ -> (
+             match
+               Dag.make ?names:(Option.map Array.of_list names) ?family ~n edges
+             with
+             | g -> Ok g
+             | exception Invalid_argument e -> Error ("invalid DAG: " ^ e)
+             | exception Dag.Cycle _ -> Error "invalid DAG: contains a cycle"))
 
 (* ------------------------------------------------------------------ *)
 (* Requests *)
 
 type kind = Solve | Bracket | Frontier
-
-let kind_label = function
-  | Solve -> "solve"
-  | Bracket -> "bracket"
-  | Frontier -> "frontier"
-
-let kind_of_label = function
-  | "solve" -> Ok Solve
-  | "bracket" -> Ok Bracket
-  | "frontier" -> Ok Frontier
-  | s -> Error (Printf.sprintf "unknown request kind %S" s)
 
 type request = {
   v : int;
@@ -285,81 +369,36 @@ let request ?(variants = no_variants) ?(budget = no_budget)
   { v = version; kind; game; r; variants; budget; want_strategy; stream;
     rules; rs; dag }
 
-let encode_request rq =
-  Json.to_string
-    (Json.Obj
-       ([
-          ("v", Json.Int rq.v);
-          ("kind", Json.String (kind_label rq.kind));
-          ("game", Json.String (game_label rq.game));
-          ("r", Json.Int rq.r);
-          ("variants", variants_json rq.variants);
-          ("budget", budget_json rq.budget);
-          ("want_strategy", Json.Bool rq.want_strategy);
-          ("stream", Json.Bool rq.stream);
-        ]
-       @ (match rq.rules with
-         | None -> []
-         | Some rs ->
-             [ ("rules", Json.List (List.map (fun r -> Json.String r) rs)) ])
-       @ (match rq.rs with
-         | None -> []
-         | Some rs -> [ ("rs", Json.List (List.map (fun r -> Json.Int r) rs)) ])
-       @ [ ("dag", dag_json rq.dag) ]))
+let request_c =
+  obj (fun kind game r variants budget want_strategy stream rules rs dag ->
+      { v = version; kind; game; r; variants; budget; want_strategy; stream;
+        rules; rs; dag })
+  |> const "v" int version
+  |> mem "kind"
+       (enum "request kind"
+          [ ("solve", Solve); ("bracket", Bracket); ("frontier", Frontier) ])
+       ~enc:(fun rq -> rq.kind)
+  |> mem "game" game_c ~enc:(fun rq -> rq.game)
+  |> mem "r" nonneg ~enc:(fun rq -> rq.r)
+  |> mem "variants" variants_c ~default:no_variants ~enc:(fun rq -> rq.variants)
+  |> mem "budget" budget_c ~default:no_budget ~enc:(fun rq -> rq.budget)
+  |> flag "want_strategy" ~enc:(fun rq -> rq.want_strategy)
+  |> flag "stream" ~enc:(fun rq -> rq.stream)
+  |> opt "rules" (list string) ~enc:(fun rq -> rq.rules)
+  |> opt "rs"
+       (list (check (fun i -> i >= 1) "capacities must be >= 1" int))
+       ~enc:(fun rq -> rq.rs)
+  |> mem "dag" dag_c ~enc:(fun rq -> rq.dag)
+  |> finish
 
-let decode_request s =
-  let* j = parse s in
-  let* () = check_version j in
-  let* kind =
-    let* k = str_field "kind" j in
-    kind_of_label k
-  in
-  let* game = game_field j in
-  let* r = int_field "r" j in
-  if r < 0 then Error "field \"r\": negative"
-  else
-    let* variants = variants_field j in
-    let* budget = budget_field j in
-    let* want_strategy = flag "want_strategy" j in
-    let* stream = flag "stream" j in
-    let* rules =
-      match Json.member "rules" j with
-      | Some Json.Null | None -> Ok None
-      | Some (Json.List l) ->
-          let* rs =
-            map_m
-              (fun s ->
-                match Json.to_str s with
-                | Some s -> Ok s
-                | None -> Error "field \"rules\": expected strings")
-              l
-          in
-          Ok (Some rs)
-      | Some _ -> Error "field \"rules\": expected an array"
-    in
-    let* rs =
-      match Json.member "rs" j with
-      | Some Json.Null | None -> Ok None
-      | Some (Json.List l) ->
-          let* rs =
-            map_m
-              (fun x ->
-                match Json.to_int x with
-                | Some i when i >= 1 -> Ok i
-                | Some _ -> Error "field \"rs\": capacities must be >= 1"
-                | None -> Error "field \"rs\": expected integers")
-              l
-          in
-          Ok (Some rs)
-      | Some _ -> Error "field \"rs\": expected an array"
-    in
-    let* dag_j = field "dag" j in
-    let* dag = dag_of_json dag_j in
-    Ok { v = version; kind; game; r; variants; budget; want_strategy; stream;
-         rules; rs; dag }
+let encode_request = encode request_c
+
+let decode_request = decode request_c
 
 (* ------------------------------------------------------------------ *)
-(* Strategies *)
+(* Strategies.  All four move vocabularies share one flat wire shape,
+   [{"op", "q"?, "u"?, "v"}]: [q] is the acting processor of a
+   multiprocessor move, [u] the other endpoint of an edge move. *)
 
 type strategy =
   | Rbp_strategy of Move.R.t list
@@ -367,264 +406,167 @@ type strategy =
   | Multi_rbp_strategy of int * Multi.Move.rbp list
   | Multi_prbp_strategy of int * Multi.Move.prbp list
 
-let op op fields = Json.Obj (("op", Json.String op) :: fields)
+type flat = { op : string; q : int option; u : int option; v : int }
 
-let v_field v = [ ("v", Json.Int v) ]
+let flat_c =
+  obj (fun op q u v -> { op; q; u; v })
+  |> mem "op" string ~enc:(fun (m : flat) -> m.op)
+  |> opt "q" int ~enc:(fun (m : flat) -> m.q)
+  |> opt "u" int ~enc:(fun (m : flat) -> m.u)
+  |> mem "v" int ~enc:(fun (m : flat) -> m.v)
+  |> finish
 
-let uv_fields u v = [ ("u", Json.Int u); ("v", Json.Int v) ]
+let flat ?q ?u op v = { op; q; u; v }
 
-let rbp_move_json : Move.R.t -> Json.t = function
-  | Load v -> op "load" (v_field v)
-  | Save v -> op "save" (v_field v)
-  | Compute v -> op "compute" (v_field v)
-  | Delete v -> op "delete" (v_field v)
-  | Slide (u, v) -> op "slide" (uv_fields u v)
+let need name = function
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "missing field %S" name)
 
-let prbp_move_json : Move.P.t -> Json.t = function
-  | Load v -> op "load" (v_field v)
-  | Save v -> op "save" (v_field v)
-  | Compute (u, v) -> op "compute" (uv_fields u v)
-  | Delete v -> op "delete" (v_field v)
-  | Clear v -> op "clear" (v_field v)
+let bad_op vocab (m : flat) =
+  Error (Printf.sprintf "unknown %s move op %S" vocab m.op)
 
-let rbp_move_of_json j =
-  let* o = str_field "op" j in
-  match o with
-  | "load" ->
-      let* v = int_field "v" j in
-      Ok (Move.R.Load v)
-  | "save" ->
-      let* v = int_field "v" j in
-      Ok (Move.R.Save v)
-  | "compute" ->
-      let* v = int_field "v" j in
-      Ok (Move.R.Compute v)
-  | "delete" ->
-      let* v = int_field "v" j in
-      Ok (Move.R.Delete v)
-  | "slide" ->
-      let* u = int_field "u" j in
-      let* v = int_field "v" j in
-      Ok (Move.R.Slide (u, v))
-  | o -> Error (Printf.sprintf "unknown rbp move op %S" o)
+let processor (m : flat) =
+  let* q = need "q" m.q in
+  if q < 0 then Error "field \"q\": negative" else Ok q
 
-(* multiprocessor moves carry the acting processor as "q" *)
-let q_field q = ("q", Json.Int q)
+let rbp_move =
+  conv flat_c
+    ~enc:(function
+      | Move.R.Load v -> flat "load" v
+      | Save v -> flat "save" v
+      | Compute v -> flat "compute" v
+      | Delete v -> flat "delete" v
+      | Slide (u, v) -> flat ~u "slide" v)
+    ~dec:(fun m ->
+      match m.op with
+      | "load" -> Ok (Move.R.Load m.v)
+      | "save" -> Ok (Move.R.Save m.v)
+      | "compute" -> Ok (Move.R.Compute m.v)
+      | "delete" -> Ok (Move.R.Delete m.v)
+      | "slide" ->
+          let* u = need "u" m.u in
+          Ok (Move.R.Slide (u, m.v))
+      | _ -> bad_op "rbp" m)
 
-let multi_rbp_move_json : Multi.Move.rbp -> Json.t = function
-  | Load (q, v) -> op "load" (q_field q :: v_field v)
-  | Save (q, v) -> op "save" (q_field q :: v_field v)
-  | Compute (q, v) -> op "compute" (q_field q :: v_field v)
-  | Delete (q, v) -> op "delete" (q_field q :: v_field v)
+let prbp_move =
+  conv flat_c
+    ~enc:(function
+      | Move.P.Load v -> flat "load" v
+      | Save v -> flat "save" v
+      | Compute (u, v) -> flat ~u "compute" v
+      | Delete v -> flat "delete" v
+      | Clear v -> flat "clear" v)
+    ~dec:(fun m ->
+      match m.op with
+      | "load" -> Ok (Move.P.Load m.v)
+      | "save" -> Ok (Move.P.Save m.v)
+      | "compute" ->
+          let* u = need "u" m.u in
+          Ok (Move.P.Compute (u, m.v))
+      | "delete" -> Ok (Move.P.Delete m.v)
+      | "clear" -> Ok (Move.P.Clear m.v)
+      | _ -> bad_op "prbp" m)
 
-let multi_prbp_move_json : Multi.Move.prbp -> Json.t = function
-  | Load (q, v) -> op "load" (q_field q :: v_field v)
-  | Save (q, v) -> op "save" (q_field q :: v_field v)
-  | Compute (q, (u, v)) -> op "compute" (q_field q :: uv_fields u v)
-  | Delete (q, v) -> op "delete" (q_field q :: v_field v)
+let multi_rbp_move =
+  conv flat_c
+    ~enc:(fun (mv : Multi.Move.rbp) ->
+      match mv with
+      | Load (q, v) -> flat ~q "load" v
+      | Save (q, v) -> flat ~q "save" v
+      | Compute (q, v) -> flat ~q "compute" v
+      | Delete (q, v) -> flat ~q "delete" v)
+    ~dec:(fun m ->
+      let* q = processor m in
+      (* annotated: rbp and prbp constructors share names, and the prbp
+         ones (declared later) would otherwise win disambiguation *)
+      let ok (mv : Multi.Move.rbp) = Ok mv in
+      match m.op with
+      | "load" -> ok (Load (q, m.v))
+      | "save" -> ok (Save (q, m.v))
+      | "compute" -> ok (Compute (q, m.v))
+      | "delete" -> ok (Delete (q, m.v))
+      | _ -> bad_op "multi-rbp" m)
 
-let multi_rbp_move_of_json j : (Multi.Move.rbp, string) result =
-  (* annotate each arm: rbp and prbp constructors share names, and the
-     prbp ones (declared later) would otherwise win disambiguation *)
-  let ok (m : Multi.Move.rbp) = Ok m in
-  let* o = str_field "op" j in
-  let* q = int_field "q" j in
-  if q < 0 then Error "field \"q\": negative"
-  else
-    match o with
-    | "load" ->
-        let* v = int_field "v" j in
-        ok (Multi.Move.Load (q, v))
-    | "save" ->
-        let* v = int_field "v" j in
-        ok (Multi.Move.Save (q, v))
-    | "compute" ->
-        let* v = int_field "v" j in
-        ok (Multi.Move.Compute (q, v))
-    | "delete" ->
-        let* v = int_field "v" j in
-        ok (Multi.Move.Delete (q, v))
-    | o -> Error (Printf.sprintf "unknown multi-rbp move op %S" o)
+let multi_prbp_move =
+  conv flat_c
+    ~enc:(fun (mv : Multi.Move.prbp) ->
+      match mv with
+      | Load (q, v) -> flat ~q "load" v
+      | Save (q, v) -> flat ~q "save" v
+      | Compute (q, (u, v)) -> flat ~q ~u "compute" v
+      | Delete (q, v) -> flat ~q "delete" v)
+    ~dec:(fun m ->
+      let* q = processor m in
+      match m.op with
+      | "load" -> Ok (Multi.Move.Load (q, m.v))
+      | "save" -> Ok (Multi.Move.Save (q, m.v))
+      | "compute" ->
+          let* u = need "u" m.u in
+          Ok (Multi.Move.Compute (q, (u, m.v)))
+      | "delete" -> Ok (Multi.Move.Delete (q, m.v))
+      | _ -> bad_op "multi-prbp" m)
 
-let multi_prbp_move_of_json j : (Multi.Move.prbp, string) result =
-  let* o = str_field "op" j in
-  let* q = int_field "q" j in
-  if q < 0 then Error "field \"q\": negative"
-  else
-    match o with
-    | "load" ->
-        let* v = int_field "v" j in
-        Ok (Multi.Move.Load (q, v))
-    | "save" ->
-        let* v = int_field "v" j in
-        Ok (Multi.Move.Save (q, v))
-    | "compute" ->
-        let* u = int_field "u" j in
-        let* v = int_field "v" j in
-        Ok (Multi.Move.Compute (q, (u, v)))
-    | "delete" ->
-        let* v = int_field "v" j in
-        Ok (Multi.Move.Delete (q, v))
-    | o -> Error (Printf.sprintf "unknown multi-prbp move op %S" o)
-
-let prbp_move_of_json j =
-  let* o = str_field "op" j in
-  match o with
-  | "load" ->
-      let* v = int_field "v" j in
-      Ok (Move.P.Load v)
-  | "save" ->
-      let* v = int_field "v" j in
-      Ok (Move.P.Save v)
-  | "compute" ->
-      let* u = int_field "u" j in
-      let* v = int_field "v" j in
-      Ok (Move.P.Compute (u, v))
-  | "delete" ->
-      let* v = int_field "v" j in
-      Ok (Move.P.Delete v)
-  | "clear" ->
-      let* v = int_field "v" j in
-      Ok (Move.P.Clear v)
-  | o -> Error (Printf.sprintf "unknown prbp move op %S" o)
-
-let strategy_json = function
-  | Rbp_strategy ms ->
-      Json.Obj
-        [
-          ("game", Json.String "rbp");
-          ("moves", Json.List (List.map rbp_move_json ms));
-        ]
-  | Prbp_strategy ms ->
-      Json.Obj
-        [
-          ("game", Json.String "prbp");
-          ("moves", Json.List (List.map prbp_move_json ms));
-        ]
-  | Multi_rbp_strategy (p, ms) ->
-      Json.Obj
-        [
-          ("game", Json.String (game_label (Multi_rbp p)));
-          ("moves", Json.List (List.map multi_rbp_move_json ms));
-        ]
-  | Multi_prbp_strategy (p, ms) ->
-      Json.Obj
-        [
-          ("game", Json.String (game_label (Multi_prbp p)));
-          ("moves", Json.List (List.map multi_prbp_move_json ms));
-        ]
-
-let strategy_of_json j =
-  let* g = str_field "game" j in
-  let* ms = list_field "moves" j in
-  match g with
-  | "rbp" ->
-      let* moves = map_m rbp_move_of_json ms in
-      Ok (Rbp_strategy moves)
-  | "prbp" ->
-      let* moves = map_m prbp_move_of_json ms in
-      Ok (Prbp_strategy moves)
-  | g -> (
-      match game_of_label g with
-      | Ok (Multi_rbp p) ->
-          let* moves = map_m multi_rbp_move_of_json ms in
-          Ok (Multi_rbp_strategy (p, moves))
-      | Ok (Multi_prbp p) ->
-          let* moves = map_m multi_prbp_move_of_json ms in
-          Ok (Multi_prbp_strategy (p, moves))
-      | _ -> Error (Printf.sprintf "unknown strategy game %S" g))
-
-let opt_strategy_field j =
-  match Json.member "strategy" j with
-  | Some Json.Null | None -> Ok None
-  | Some sj ->
-      let* s = strategy_of_json sj in
-      Ok (Some s)
+(* the game label tags the move vocabulary *)
+let strategy_c =
+  obj (fun game moves -> (game, moves))
+  |> mem "game" game_c ~enc:fst
+  |> mem "moves" (list json) ~enc:snd
+  |> finish
+  |> conv
+       ~enc:(fun s ->
+         let tagged game c ms = (game, List.map c.enc ms) in
+         match s with
+         | Rbp_strategy ms -> tagged Rbp rbp_move ms
+         | Prbp_strategy ms -> tagged Prbp prbp_move ms
+         | Multi_rbp_strategy (p, ms) -> tagged (Multi_rbp p) multi_rbp_move ms
+         | Multi_prbp_strategy (p, ms) ->
+             tagged (Multi_prbp p) multi_prbp_move ms)
+       ~dec:(fun (game, moves) ->
+         let decoded c wrap =
+           match decode_all c [] moves with
+           | Ok ms -> Ok (wrap ms)
+           | Error e -> Error ("field \"moves\": " ^ e)
+         in
+         match game with
+         | Rbp -> decoded rbp_move (fun ms -> Rbp_strategy ms)
+         | Prbp -> decoded prbp_move (fun ms -> Prbp_strategy ms)
+         | Multi_rbp p ->
+             decoded multi_rbp_move (fun ms -> Multi_rbp_strategy (p, ms))
+         | Multi_prbp p ->
+             decoded multi_prbp_move (fun ms -> Multi_prbp_strategy (p, ms))
+         | Black -> Error "black strategies have no wire form")
 
 (* ------------------------------------------------------------------ *)
 (* Outcomes *)
 
-let stats_json (s : Solver.stats) =
-  Json.Obj
-    [
-      ("explored", Json.Int s.explored);
-      ("pruned", Json.Int s.pruned);
-      ("expansions", Json.Int s.expansions);
-      ("frontier", Json.Int s.frontier);
-      ("elapsed_s", Json.Float s.elapsed_s);
-      ("mem_words", Json.Int s.mem_words);
-      ("prune_disabled", Json.Bool s.prune_disabled);
-      ("spilled", Json.Int s.spilled);
-    ]
-
-let stats_of_json j : (Solver.stats, string) result =
-  let* explored = int_field "explored" j in
-  let* pruned = int_field "pruned" j in
-  let* expansions = int_field "expansions" j in
-  let* frontier = int_field "frontier" j in
-  let* elapsed_s = float_field "elapsed_s" j in
-  let* mem_words = int_field "mem_words" j in
-  let* prune_disabled = bool_field "prune_disabled" j in
-  let* spilled = int_field "spilled" j in
-  Ok
-    {
-      Solver.explored;
-      pruned;
-      expansions;
-      frontier;
-      elapsed_s;
-      mem_words;
-      prune_disabled;
-      spilled;
-    }
+let stats_c =
+  obj
+    (fun explored pruned expansions frontier elapsed_s mem_words
+         prune_disabled spilled ->
+      { Solver.explored; pruned; expansions; frontier; elapsed_s; mem_words;
+        prune_disabled; spilled })
+  |> mem "explored" int ~enc:(fun s -> s.Solver.explored)
+  |> mem "pruned" int ~enc:(fun s -> s.Solver.pruned)
+  |> mem "expansions" int ~enc:(fun s -> s.Solver.expansions)
+  |> mem "frontier" int ~enc:(fun s -> s.Solver.frontier)
+  |> mem "elapsed_s" float ~enc:(fun s -> s.Solver.elapsed_s)
+  |> mem "mem_words" int ~enc:(fun s -> s.Solver.mem_words)
+  |> mem "prune_disabled" bool ~enc:(fun s -> s.Solver.prune_disabled)
+  |> mem "spilled" int ~enc:(fun s -> s.Solver.spilled)
+  |> finish
 
 (* convergence curves ride as compact triples [t_s, lower, upper],
-   with [null] for a missing upper bound; absent or null curves decode
-   as [] so every v1 record before the field existed still parses *)
-let curve_json (c : Solver.Convergence.curve) =
-  Json.List
-    (List.map
-       (fun (pt : Solver.Convergence.point) ->
-         Json.List
-           [
-             Json.Float pt.Solver.Convergence.t_s;
-             Json.Int pt.Solver.Convergence.lower;
-             (match pt.Solver.Convergence.upper with
-             | Some u -> Json.Int u
-             | None -> Json.Null);
-           ])
-       c)
-
-let curve_field j : (Solver.Convergence.curve, string) result =
-  match Json.member "curve" j with
-  | Some Json.Null | None -> Ok []
-  | Some (Json.List l) ->
-      map_m
-        (fun pj ->
-          match pj with
-          | Json.List [ t; lo; up ] -> (
-              match (Json.to_float t, Json.to_int lo) with
-              | Some t_s, Some lower -> (
-                  match up with
-                  | Json.Null ->
-                      Ok { Solver.Convergence.t_s; lower; upper = None }
-                  | _ -> (
-                      match Json.to_int up with
-                      | Some u ->
-                          Ok
-                            {
-                              Solver.Convergence.t_s;
-                              lower;
-                              upper = Some u;
-                            }
-                      | None ->
-                          Error
-                            "field \"curve\": upper must be an integer or \
-                             null"))
-              | _ -> Error "field \"curve\": expected [t_s, lower, upper]")
-          | _ -> Error "field \"curve\": expected [t_s, lower, upper] triples")
-        l
-  | Some _ -> Error "field \"curve\": expected an array"
+   with [null] for a missing upper bound; absent, null and empty
+   curves are one value, left off the wire, so every v1 record from
+   before the field existed still parses *)
+let with_curve ~enc o =
+  let point =
+    conv
+      (triple float int (nullable int))
+      ~enc:(fun (pt : Convergence.point) -> (pt.t_s, pt.lower, pt.upper))
+      ~dec:(fun (t_s, lower, upper) -> Ok { Convergence.t_s; lower; upper })
+  in
+  mem "curve" (or_null [] (list point)) ~default:[] ~omit:(( = ) []) ~enc o
 
 type outcome = {
   v : int;
@@ -640,19 +582,8 @@ type outcome = {
   stopped : string option;
   strategy : strategy option;
   stats : Solver.stats;
-  curve : Solver.Convergence.curve;
+  curve : Convergence.curve;
 }
-
-let status_label = function
-  | `Optimal -> "optimal"
-  | `Bounded -> "bounded"
-  | `Unsolvable -> "unsolvable"
-
-let status_of_label = function
-  | "optimal" -> Ok `Optimal
-  | "bounded" -> Ok `Bounded
-  | "unsolvable" -> Ok `Unsolvable
-  | s -> Error (Printf.sprintf "unknown status %S" s)
 
 let outcome_of ~game ~r ?(variants = no_variants) ?strategy ?(curve = [])
     ~dag (oc : _ Solver.outcome) =
@@ -669,54 +600,35 @@ let outcome_of ~game ~r ?(variants = no_variants) ?strategy ?(curve = [])
       base `Bounded lower upper (Some (Solver.reason_label stopped)) stats
   | Solver.Unsolvable stats -> base `Unsolvable 0 None None stats
 
-let encode_outcome (o : outcome) =
-  Json.to_string
-    (Json.Obj
-       ([
-          ("v", Json.Int o.v);
-          ("game", Json.String (game_label o.game));
-          ("r", Json.Int o.r);
-          ("variants", variants_json o.variants);
-          ("dag_hash", Json.String o.dag_hash);
-          ("n", Json.Int o.n);
-          ("m", Json.Int o.m);
-          ("status", Json.String (status_label o.status));
-          ("lower", Json.Int o.lower);
-        ]
-       @ (match o.upper with Some u -> [ ("upper", Json.Int u) ] | None -> [])
-       @ (match o.stopped with
-         | Some s -> [ ("stopped", Json.String s) ]
-         | None -> [])
-       @ (match o.strategy with
-         | Some s -> [ ("strategy", strategy_json s) ]
-         | None -> [])
-       @ (match o.curve with
-         | [] -> []
-         | c -> [ ("curve", curve_json c) ])
-       @ [ ("stats", stats_json o.stats) ]))
+let outcome_c =
+  obj
+    (fun game r variants dag_hash n m status lower upper stopped strategy
+         curve stats ->
+      { v = version; game; r; variants; dag_hash; n; m; status; lower; upper;
+        stopped; strategy; stats; curve })
+  |> const "v" int version
+  |> mem "game" game_c ~enc:(fun o -> o.game)
+  |> mem "r" int ~enc:(fun o -> o.r)
+  |> mem "variants" variants_c ~default:no_variants ~enc:(fun o -> o.variants)
+  |> mem "dag_hash" string ~enc:(fun o -> o.dag_hash)
+  |> mem "n" int ~enc:(fun o -> o.n)
+  |> mem "m" int ~enc:(fun o -> o.m)
+  |> mem "status"
+       (enum "status"
+          [ ("optimal", `Optimal); ("bounded", `Bounded);
+            ("unsolvable", `Unsolvable) ])
+       ~enc:(fun o -> o.status)
+  |> mem "lower" int ~enc:(fun o -> o.lower)
+  |> opt "upper" int ~enc:(fun o -> o.upper)
+  |> opt "stopped" string ~enc:(fun o -> o.stopped)
+  |> opt "strategy" strategy_c ~enc:(fun o -> o.strategy)
+  |> with_curve ~enc:(fun o -> o.curve)
+  |> mem "stats" stats_c ~enc:(fun o -> o.stats)
+  |> finish
 
-let decode_outcome s =
-  let* j = parse s in
-  let* () = check_version j in
-  let* game = game_field j in
-  let* r = int_field "r" j in
-  let* variants = variants_field j in
-  let* dag_hash = str_field "dag_hash" j in
-  let* n = int_field "n" j in
-  let* m = int_field "m" j in
-  let* status =
-    let* s = str_field "status" j in
-    status_of_label s
-  in
-  let* lower = int_field "lower" j in
-  let* upper = opt_int "upper" j in
-  let* stopped = opt_str "stopped" j in
-  let* strategy = opt_strategy_field j in
-  let* curve = curve_field j in
-  let* stats_j = field "stats" j in
-  let* stats = stats_of_json stats_j in
-  Ok { v = version; game; r; variants; dag_hash; n; m; status; lower; upper;
-       stopped; strategy; stats; curve }
+let encode_outcome = encode outcome_c
+
+let decode_outcome = decode outcome_c
 
 (* ------------------------------------------------------------------ *)
 (* Bracket certificates *)
@@ -738,7 +650,7 @@ type bracket = {
   rules : (string * int) list;
   profile_classes : int option;
   strategy : strategy option;
-  curve : Solver.Convergence.curve;
+  curve : Convergence.curve;
   elapsed_s : float;
 }
 
@@ -770,85 +682,49 @@ let bracket_of ?family ?(with_moves = false) (b : Bracket.t) =
     elapsed_s = b.elapsed_s;
   }
 
-let encode_bracket (b : bracket) =
-  (* [rule]/[lower_rule] and [method]/[upper_rule] are intentionally
-     duplicated pairs: the historical row format of BENCH_solver.json
-     carried both spellings and downstream greps key off either *)
-  Json.to_string
-    (Json.Obj
-       ([ ("v", Json.Int b.v); ("kind", Json.String "bracket") ]
-       @ (match b.family with
-         | Some f -> [ ("family", Json.String f) ]
-         | None -> [])
-       @ [
-           ("game", Json.String (game_label b.game));
-           ("r", Json.Int b.r);
-           ("n", Json.Int b.n);
-           ("m", Json.Int b.m);
-           ("lower", Json.Int b.lower);
-           ("rule", Json.String b.lower_rule);
-           ("lower_rule", Json.String b.lower_rule);
-           ("upper", Json.Int b.upper);
-           ("method", Json.String b.upper_rule);
-           ("upper_rule", Json.String b.upper_rule);
-           ("verifier", Json.String b.verifier);
-           ("tight", Json.Bool b.tight);
-           ("interval_width", Json.Int b.width);
-           ( "rules",
-             Json.List
-               (List.map
-                  (fun (rule, bound) ->
-                    Json.Obj
-                      [
-                        ("rule", Json.String rule); ("bound", Json.Int bound);
-                      ])
-                  b.rules) );
-           ( "profile_classes",
-             match b.profile_classes with
-             | Some c -> Json.Int c
-             | None -> Json.Null );
-         ]
-       @ (match b.strategy with
-         | Some s -> [ ("strategy", strategy_json s) ]
-         | None -> [])
-       @ (match b.curve with [] -> [] | c -> [ ("curve", curve_json c) ])
-       @ [ ("elapsed_s", Json.Float b.elapsed_s) ]))
+let rule_bound_c =
+  obj (fun rule bound -> (rule, bound))
+  |> mem "rule" string ~enc:fst
+  |> mem "bound" int ~enc:snd
+  |> finish
 
-let decode_bracket s =
-  let* j = parse s in
-  let* () = check_version j in
-  let* kind = str_field "kind" j in
-  if kind <> "bracket" then
-    Error (Printf.sprintf "expected kind \"bracket\", got %S" kind)
-  else
-    let* family = opt_str "family" j in
-    let* game = game_field j in
-    let* r = int_field "r" j in
-    let* n = int_field "n" j in
-    let* m = int_field "m" j in
-    let* lower = int_field "lower" j in
-    let* lower_rule = str_field "lower_rule" j in
-    let* upper = int_field "upper" j in
-    let* upper_rule = str_field "upper_rule" j in
-    let* verifier = str_field "verifier" j in
-    let* tight = bool_field "tight" j in
-    let* width = int_field "interval_width" j in
-    let* rules_j = list_field "rules" j in
-    let* rules =
-      map_m
-        (fun rj ->
-          let* rule = str_field "rule" rj in
-          let* bound = int_field "bound" rj in
-          Ok (rule, bound))
-        rules_j
-    in
-    let* profile_classes = opt_int "profile_classes" j in
-    let* strategy = opt_strategy_field j in
-    let* curve = curve_field j in
-    let* elapsed_s = float_field "elapsed_s" j in
-    Ok { v = version; family; game; r; n; m; lower; lower_rule; upper;
-         upper_rule; verifier; tight; width; rules; profile_classes; strategy;
-         curve; elapsed_s }
+(* [rule]/[lower_rule] and [method]/[upper_rule] are intentionally
+   duplicated pairs: the historical row format of BENCH_solver.json
+   carried both spellings and downstream greps key off either *)
+let bracket_c =
+  obj
+    (fun family game r n m lower lower_rule upper upper_rule verifier tight
+         width rules profile_classes strategy curve elapsed_s ->
+      { v = version; family; game; r; n; m; lower; lower_rule; upper;
+        upper_rule; verifier; tight; width; rules; profile_classes; strategy;
+        curve; elapsed_s })
+  |> const "v" int version
+  |> const "kind" string "bracket"
+  |> opt "family" string ~enc:(fun b -> b.family)
+  |> mem "game" game_c ~enc:(fun b -> b.game)
+  |> mem "r" int ~enc:(fun b -> b.r)
+  |> mem "n" int ~enc:(fun b -> b.n)
+  |> mem "m" int ~enc:(fun b -> b.m)
+  |> mem "lower" int ~enc:(fun b -> b.lower)
+  |> emit "rule" string ~enc:(fun b -> b.lower_rule)
+  |> mem "lower_rule" string ~enc:(fun b -> b.lower_rule)
+  |> mem "upper" int ~enc:(fun b -> b.upper)
+  |> emit "method" string ~enc:(fun b -> b.upper_rule)
+  |> mem "upper_rule" string ~enc:(fun b -> b.upper_rule)
+  |> mem "verifier" string ~enc:(fun b -> b.verifier)
+  |> mem "tight" bool ~enc:(fun b -> b.tight)
+  |> mem "interval_width" int ~enc:(fun b -> b.width)
+  |> mem "rules" (list rule_bound_c) ~enc:(fun b -> b.rules)
+  |> mem "profile_classes" (nullable int) ~default:None
+       ~enc:(fun b -> b.profile_classes)
+  |> opt "strategy" strategy_c ~enc:(fun b -> b.strategy)
+  |> with_curve ~enc:(fun b -> b.curve)
+  |> mem "elapsed_s" float ~enc:(fun b -> b.elapsed_s)
+  |> finish
+
+let encode_bracket = encode bracket_c
+
+let decode_bracket = decode bracket_c
 
 (* ------------------------------------------------------------------ *)
 (* Frontier certificates *)
@@ -866,8 +742,31 @@ type frontier_point = {
   settled : bool;
   dominated : bool;
   strategy : strategy option;
-  curve : Solver.Convergence.curve;
+  curve : Convergence.curve;
 }
+
+let frontier_point_c =
+  obj
+    (fun p r comm_lower comm_upper time_lower time_upper status source
+         verified settled dominated strategy curve ->
+      { p; r; comm_lower; comm_upper; time_lower; time_upper; status; source;
+        verified; settled; dominated; strategy; curve })
+  |> mem "p" int ~enc:(fun pt -> pt.p)
+  |> mem "r" int ~enc:(fun pt -> pt.r)
+  |> mem "comm_lower" int ~enc:(fun pt -> pt.comm_lower)
+  |> opt "comm_upper" int ~enc:(fun pt -> pt.comm_upper)
+  |> mem "time_lower" int ~enc:(fun pt -> pt.time_lower)
+  |> opt "time_upper" int ~enc:(fun pt -> pt.time_upper)
+  |> mem "status"
+       (enum "point status" [ ("exact", `Exact); ("bracketed", `Bracketed) ])
+       ~enc:(fun pt -> pt.status)
+  |> mem "source" string ~enc:(fun pt -> pt.source)
+  |> mem "verified" bool ~enc:(fun pt -> pt.verified)
+  |> mem "settled" bool ~enc:(fun pt -> pt.settled)
+  |> mem "dominated" bool ~enc:(fun pt -> pt.dominated)
+  |> opt "strategy" strategy_c ~enc:(fun pt -> pt.strategy)
+  |> with_curve ~enc:(fun pt -> pt.curve)
+  |> finish
 
 type frontier = {
   v : int;
@@ -882,13 +781,6 @@ type frontier = {
   exhausted : bool;
   elapsed_s : float;
 }
-
-let point_status_label = function `Exact -> "exact" | `Bracketed -> "bracketed"
-
-let point_status_of_label = function
-  | "exact" -> Ok `Exact
-  | "bracketed" -> Ok `Bracketed
-  | s -> Error (Printf.sprintf "unknown point status %S" s)
 
 let frontier_of ?family ?(with_moves = false) ~dag (f : Frontier.t) =
   let game =
@@ -936,62 +828,15 @@ let frontier_of ?family ?(with_moves = false) ~dag (f : Frontier.t) =
     elapsed_s = f.Frontier.elapsed_s;
   }
 
-let frontier_point_json (pt : frontier_point) =
-  Json.Obj
-    ([
-       ("p", Json.Int pt.p);
-       ("r", Json.Int pt.r);
-       ("comm_lower", Json.Int pt.comm_lower);
-     ]
-    @ (match pt.comm_upper with
-      | Some u -> [ ("comm_upper", Json.Int u) ]
-      | None -> [])
-    @ [ ("time_lower", Json.Int pt.time_lower) ]
-    @ (match pt.time_upper with
-      | Some u -> [ ("time_upper", Json.Int u) ]
-      | None -> [])
-    @ [
-        ("status", Json.String (point_status_label pt.status));
-        ("source", Json.String pt.source);
-        ("verified", Json.Bool pt.verified);
-        ("settled", Json.Bool pt.settled);
-        ("dominated", Json.Bool pt.dominated);
-      ]
-    @ (match pt.strategy with
-      | Some s -> [ ("strategy", strategy_json s) ]
-      | None -> [])
-    @ match pt.curve with [] -> [] | c -> [ ("curve", curve_json c) ])
-
-let frontier_point_of_json j =
-  let* p = int_field "p" j in
-  let* r = int_field "r" j in
-  let* comm_lower = int_field "comm_lower" j in
-  let* comm_upper = opt_int "comm_upper" j in
-  let* time_lower = int_field "time_lower" j in
-  let* time_upper = opt_int "time_upper" j in
-  let* status =
-    let* s = str_field "status" j in
-    point_status_of_label s
-  in
-  let* source = str_field "source" j in
-  let* verified = bool_field "verified" j in
-  let* settled = bool_field "settled" j in
-  let* dominated = bool_field "dominated" j in
-  let* strategy = opt_strategy_field j in
-  let* curve = curve_field j in
-  Ok
-    { p; r; comm_lower; comm_upper; time_lower; time_upper; status; source;
-      verified; settled; dominated; strategy; curve }
-
 (* derived row metrics: the regression gate compares these without
    re-deriving them from the points *)
+let count pred f = List.length (List.filter pred f.points)
+
 let frontier_points_n f = List.length f.points
 
-let frontier_front_n f =
-  List.length (List.filter (fun pt -> not pt.dominated) f.points)
+let frontier_front_n = count (fun pt -> not pt.dominated)
 
-let frontier_open_n f =
-  List.length (List.filter (fun pt -> not pt.settled) f.points)
+let frontier_open_n = count (fun pt -> not pt.settled)
 
 let frontier_width f =
   List.fold_left
@@ -1001,152 +846,103 @@ let frontier_width f =
       | None -> acc)
     0 f.points
 
-let encode_frontier (f : frontier) =
-  Json.to_string
-    (Json.Obj
-       ([ ("v", Json.Int f.v); ("kind", Json.String "frontier") ]
-       @ (match f.family with
-         | Some fam -> [ ("family", Json.String fam) ]
-         | None -> [])
-       @ [
-           ("game", Json.String (game_label f.game));
-           ("dag_hash", Json.String f.dag_hash);
-           ("n", Json.Int f.n);
-           ("m", Json.Int f.m);
-           ("model", Json.String f.model);
-           ("points_n", Json.Int (frontier_points_n f));
-           ("front_n", Json.Int (frontier_front_n f));
-           ("open_n", Json.Int (frontier_open_n f));
-           ("front_width", Json.Int (frontier_width f));
-           ("points", Json.List (List.map frontier_point_json f.points));
-           ( "infeasible_rs",
-             Json.List (List.map (fun r -> Json.Int r) f.infeasible_rs) );
-           ("exhausted", Json.Bool f.exhausted);
-           ("elapsed_s", Json.Float f.elapsed_s);
-         ]))
-
-let decode_frontier s =
-  let* j = parse s in
-  let* () = check_version j in
-  let* kind = str_field "kind" j in
-  if kind <> "frontier" then
-    Error (Printf.sprintf "expected kind \"frontier\", got %S" kind)
-  else
-    let* family = opt_str "family" j in
-    let* game = game_field j in
-    let* dag_hash = str_field "dag_hash" j in
-    let* n = int_field "n" j in
-    let* m = int_field "m" j in
-    let* model = str_field "model" j in
-    let* points_j = list_field "points" j in
-    let* points = map_m frontier_point_of_json points_j in
-    let* infeasible_rs =
-      let* l = list_field "infeasible_rs" j in
-      map_m
-        (fun x ->
-          match Json.to_int x with
-          | Some i -> Ok i
-          | None -> Error "field \"infeasible_rs\": expected integers")
-        l
-    in
-    let* exhausted = bool_field "exhausted" j in
-    let* elapsed_s = float_field "elapsed_s" j in
-    Ok
+let frontier_c =
+  obj
+    (fun family game dag_hash n m model points infeasible_rs exhausted
+         elapsed_s ->
       { v = version; family; game; dag_hash; n; m; model; points;
-        infeasible_rs; exhausted; elapsed_s }
+        infeasible_rs; exhausted; elapsed_s })
+  |> const "v" int version
+  |> const "kind" string "frontier"
+  |> opt "family" string ~enc:(fun f -> f.family)
+  |> mem "game" game_c ~enc:(fun f -> f.game)
+  |> mem "dag_hash" string ~enc:(fun f -> f.dag_hash)
+  |> mem "n" int ~enc:(fun f -> f.n)
+  |> mem "m" int ~enc:(fun f -> f.m)
+  |> mem "model" string ~enc:(fun f -> f.model)
+  |> emit "points_n" int ~enc:frontier_points_n
+  |> emit "front_n" int ~enc:frontier_front_n
+  |> emit "open_n" int ~enc:frontier_open_n
+  |> emit "front_width" int ~enc:frontier_width
+  |> mem "points" (list frontier_point_c) ~enc:(fun f -> f.points)
+  |> mem "infeasible_rs" (list int) ~enc:(fun f -> f.infeasible_rs)
+  |> mem "exhausted" bool ~enc:(fun f -> f.exhausted)
+  |> mem "elapsed_s" float ~enc:(fun f -> f.elapsed_s)
+  |> finish
+
+let encode_frontier = encode frontier_c
+
+let decode_frontier = decode frontier_c
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry *)
 
-let progress_fields (p : Solver.Telemetry.progress) =
-  [
-    ("expansions", Json.Int p.expansions);
-    ("explored", Json.Int p.explored);
-    ("pruned", Json.Int p.pruned);
-    ("frontier", Json.Int p.frontier);
-    ("depth", Json.Int p.depth);
-    ("table_load", Json.Float p.table_load);
-    ("elapsed_s", Json.Float p.elapsed_s);
-    ("lower", Json.Int p.lower);
-  ]
-  @ match p.upper with Some u -> [ ("upper", Json.Int u) ] | None -> []
-
-let encode_event (ev : Solver.Telemetry.event) =
-  let tagged ev_name fields =
-    Json.Obj
-      (("v", Json.Int version) :: ("ev", Json.String ev_name) :: fields)
-  in
-  Json.to_string
-    (match ev with
-    | Start { width; max_states } ->
-        tagged "start"
-          [ ("width", Json.Int width); ("max_states", Json.Int max_states) ]
-    | Progress p -> tagged "progress" (progress_fields p)
-    | Prune { pruned } -> tagged "prune" [ ("pruned", Json.Int pruned) ]
-    | Stop { outcome; progress } ->
-        tagged "stop"
-          (("outcome", Json.String outcome) :: progress_fields progress))
-
-let progress_of_json j : (Solver.Telemetry.progress, string) result =
-  let* expansions = int_field "expansions" j in
-  let* explored = int_field "explored" j in
-  let* pruned = int_field "pruned" j in
-  let* frontier = int_field "frontier" j in
-  let* depth = int_field "depth" j in
-  let* table_load = float_field "table_load" j in
-  let* elapsed_s = float_field "elapsed_s" j in
+let progress_m =
+  obj
+    (fun expansions explored pruned frontier depth table_load elapsed_s lower
+         upper ->
+      { Telemetry.expansions; explored; pruned; frontier; depth; table_load;
+        elapsed_s; lower; upper })
+  |> mem "expansions" int ~enc:(fun p -> p.Telemetry.expansions)
+  |> mem "explored" int ~enc:(fun p -> p.Telemetry.explored)
+  |> mem "pruned" int ~enc:(fun p -> p.Telemetry.pruned)
+  |> mem "frontier" int ~enc:(fun p -> p.Telemetry.frontier)
+  |> mem "depth" int ~enc:(fun p -> p.Telemetry.depth)
+  |> mem "table_load" float ~enc:(fun p -> p.Telemetry.table_load)
+  |> mem "elapsed_s" float ~enc:(fun p -> p.Telemetry.elapsed_s)
   (* [lower]/[upper] arrived after v1 shipped; absent values decode to
      the weakest certified statement so old JSONL traces still parse *)
-  let* lower =
-    match Json.member "lower" j with
-    | Some Json.Null | None -> Ok 0
-    | Some v -> (
-        match Json.to_int v with
-        | Some i -> Ok i
-        | None -> Error "field \"lower\": expected an integer")
-  in
-  let* upper = opt_int "upper" j in
-  Ok
-    {
-      Solver.Telemetry.expansions;
-      explored;
-      pruned;
-      frontier;
-      depth;
-      table_load;
-      elapsed_s;
-      lower;
-      upper;
-    }
+  |> mem "lower" (or_null 0 int) ~default:0 ~enc:(fun p -> p.Telemetry.lower)
+  |> opt "upper" int ~enc:(fun p -> p.Telemetry.upper)
 
-let decode_event s : (Solver.Telemetry.event, string) result =
-  let* j = parse s in
-  let* () = check_version j in
-  let* ev = str_field "ev" j in
-  match ev with
-  | "start" ->
-      let* width = int_field "width" j in
-      let* max_states = int_field "max_states" j in
-      Ok (Solver.Telemetry.Start { width; max_states })
-  | "progress" ->
-      let* p = progress_of_json j in
-      Ok (Solver.Telemetry.Progress p)
-  | "prune" ->
-      let* pruned = int_field "pruned" j in
-      Ok (Solver.Telemetry.Prune { pruned })
-  | "stop" ->
-      let* outcome = str_field "outcome" j in
-      let* progress = progress_of_json j in
-      Ok (Solver.Telemetry.Stop { outcome; progress })
-  | ev -> Error (Printf.sprintf "unknown telemetry event %S" ev)
+let event_c =
+  obj Fun.id
+  |> const "v" int version
+  |> splice ~enc:Fun.id
+       (union "telemetry event" "ev"
+          [
+            case "start"
+              (obj (fun width max_states -> (width, max_states))
+              |> mem "width" int ~enc:fst
+              |> mem "max_states" int ~enc:snd)
+              ~inj:(fun (width, max_states) ->
+                Telemetry.Start { width; max_states })
+              ~proj:(function
+                | Telemetry.Start { width; max_states } ->
+                    Some (width, max_states)
+                | _ -> None);
+            case "progress" progress_m
+              ~inj:(fun p -> Telemetry.Progress p)
+              ~proj:(function Telemetry.Progress p -> Some p | _ -> None);
+            case "prune"
+              (obj Fun.id |> mem "pruned" int ~enc:Fun.id)
+              ~inj:(fun pruned -> Telemetry.Prune { pruned })
+              ~proj:(function
+                | Telemetry.Prune { pruned } -> Some pruned | _ -> None);
+            case "stop"
+              (obj (fun outcome progress -> (outcome, progress))
+              |> mem "outcome" string ~enc:fst
+              |> splice progress_m ~enc:snd)
+              ~inj:(fun (outcome, progress) ->
+                Telemetry.Stop { outcome; progress })
+              ~proj:(function
+                | Telemetry.Stop { outcome; progress } ->
+                    Some (outcome, progress)
+                | _ -> None);
+          ])
+  |> finish
+
+let encode_event = encode event_c
+
+let decode_event = decode event_c
 
 let jsonl ?every oc =
-  Solver.Telemetry.make ?every (fun ev ->
+  Telemetry.make ?every (fun ev ->
       output_string oc (encode_event ev);
       output_char oc '\n';
       (* stop events close a solve; make sure they reach the reader
          even when the process is about to exit non-zero *)
-      match ev with Solver.Telemetry.Stop _ -> flush oc | _ -> ())
+      match ev with Telemetry.Stop _ -> flush oc | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Daemon status *)
@@ -1160,12 +956,31 @@ type req = {
   outcome : string;
 }
 
+let req_c =
+  obj (fun trace_id route status cache dur_s outcome ->
+      { trace_id; route; status; cache; dur_s; outcome })
+  |> mem "trace_id" int ~enc:(fun q -> q.trace_id)
+  |> mem "route" string ~enc:(fun q -> q.route)
+  |> mem "status" int ~enc:(fun q -> q.status)
+  |> mem "cache" string ~enc:(fun q -> q.cache)
+  |> mem "dur_s" float ~enc:(fun q -> q.dur_s)
+  |> mem "outcome" string ~enc:(fun q -> q.outcome)
+  |> finish
+
 type route_stat = {
   route : string;
   count : int;
   sum_s : float;
   buckets : (float * int) list;
 }
+
+let route_stat_c =
+  obj (fun route count sum_s buckets -> { route; count; sum_s; buckets })
+  |> mem "route" string ~enc:(fun rs -> rs.route)
+  |> mem "count" int ~enc:(fun rs -> rs.count)
+  |> mem "sum_s" float ~enc:(fun rs -> rs.sum_s)
+  |> mem "buckets" (list (pair float int)) ~enc:(fun rs -> rs.buckets)
+  |> finish
 
 type status_report = {
   v : int;
@@ -1183,57 +998,6 @@ type status_report = {
   slowest : req list;
 }
 
-let req_json (r : req) =
-  Json.Obj
-    [
-      ("trace_id", Json.Int r.trace_id);
-      ("route", Json.String r.route);
-      ("status", Json.Int r.status);
-      ("cache", Json.String r.cache);
-      ("dur_s", Json.Float r.dur_s);
-      ("outcome", Json.String r.outcome);
-    ]
-
-let req_of_json j =
-  let* trace_id = int_field "trace_id" j in
-  let* route = str_field "route" j in
-  let* status = int_field "status" j in
-  let* cache = str_field "cache" j in
-  let* dur_s = float_field "dur_s" j in
-  let* outcome = str_field "outcome" j in
-  Ok { trace_id; route; status; cache; dur_s; outcome }
-
-let route_stat_json (rs : route_stat) =
-  Json.Obj
-    [
-      ("route", Json.String rs.route);
-      ("count", Json.Int rs.count);
-      ("sum_s", Json.Float rs.sum_s);
-      ( "buckets",
-        Json.List
-          (List.map
-             (fun (le, n) -> Json.List [ Json.Float le; Json.Int n ])
-             rs.buckets) );
-    ]
-
-let route_stat_of_json j =
-  let* route = str_field "route" j in
-  let* count = int_field "count" j in
-  let* sum_s = float_field "sum_s" j in
-  let* buckets_j = list_field "buckets" j in
-  let* buckets =
-    map_m
-      (fun bj ->
-        match bj with
-        | Json.List [ le; n ] -> (
-            match (Json.to_float le, Json.to_int n) with
-            | Some le, Some n -> Ok (le, n)
-            | _ -> Error "field \"buckets\": expected [le, count] pairs")
-        | _ -> Error "field \"buckets\": expected [le, count] pairs")
-      buckets_j
-  in
-  Ok { route; count; sum_s; buckets }
-
 let status_report ~uptime_s ~workers ~in_flight ~queued ~requests_total
     ~cache_hits ~cache_misses ~flight_seen ~flight_capacity ~routes ~recent
     ~slowest () =
@@ -1241,51 +1005,32 @@ let status_report ~uptime_s ~workers ~in_flight ~queued ~requests_total
     cache_hits; cache_misses; flight_seen; flight_capacity; routes; recent;
     slowest }
 
-let encode_status (st : status_report) =
-  Json.to_string
-    (Json.Obj
-       [
-         ("v", Json.Int st.v);
-         ("kind", Json.String "status");
-         ("uptime_s", Json.Float st.uptime_s);
-         ("workers", Json.Int st.workers);
-         ("in_flight", Json.Int st.in_flight);
-         ("queued", Json.Int st.queued);
-         ("requests_total", Json.Int st.requests_total);
-         ("cache_hits", Json.Int st.cache_hits);
-         ("cache_misses", Json.Int st.cache_misses);
-         ("flight_seen", Json.Int st.flight_seen);
-         ("flight_capacity", Json.Int st.flight_capacity);
-         ("routes", Json.List (List.map route_stat_json st.routes));
-         ("recent", Json.List (List.map req_json st.recent));
-         ("slowest", Json.List (List.map req_json st.slowest));
-       ])
+let status_c =
+  obj
+    (fun uptime_s workers in_flight queued requests_total cache_hits
+         cache_misses flight_seen flight_capacity routes recent slowest ->
+      status_report ~uptime_s ~workers ~in_flight ~queued ~requests_total
+        ~cache_hits ~cache_misses ~flight_seen ~flight_capacity ~routes
+        ~recent ~slowest ())
+  |> const "v" int version
+  |> const "kind" string "status"
+  |> mem "uptime_s" float ~enc:(fun st -> st.uptime_s)
+  |> mem "workers" int ~enc:(fun st -> st.workers)
+  |> mem "in_flight" int ~enc:(fun st -> st.in_flight)
+  |> mem "queued" int ~enc:(fun st -> st.queued)
+  |> mem "requests_total" int ~enc:(fun st -> st.requests_total)
+  |> mem "cache_hits" int ~enc:(fun st -> st.cache_hits)
+  |> mem "cache_misses" int ~enc:(fun st -> st.cache_misses)
+  |> mem "flight_seen" int ~enc:(fun st -> st.flight_seen)
+  |> mem "flight_capacity" int ~enc:(fun st -> st.flight_capacity)
+  |> mem "routes" (list route_stat_c) ~enc:(fun st -> st.routes)
+  |> mem "recent" (list req_c) ~enc:(fun st -> st.recent)
+  |> mem "slowest" (list req_c) ~enc:(fun st -> st.slowest)
+  |> finish
 
-let decode_status s =
-  let* j = parse s in
-  let* () = check_version j in
-  let* kind = str_field "kind" j in
-  if kind <> "status" then
-    Error (Printf.sprintf "expected kind \"status\", got %S" kind)
-  else
-    let* uptime_s = float_field "uptime_s" j in
-    let* workers = int_field "workers" j in
-    let* in_flight = int_field "in_flight" j in
-    let* queued = int_field "queued" j in
-    let* requests_total = int_field "requests_total" j in
-    let* cache_hits = int_field "cache_hits" j in
-    let* cache_misses = int_field "cache_misses" j in
-    let* flight_seen = int_field "flight_seen" j in
-    let* flight_capacity = int_field "flight_capacity" j in
-    let* routes_j = list_field "routes" j in
-    let* routes = map_m route_stat_of_json routes_j in
-    let* recent_j = list_field "recent" j in
-    let* recent = map_m req_of_json recent_j in
-    let* slowest_j = list_field "slowest" j in
-    let* slowest = map_m req_of_json slowest_j in
-    Ok { v = version; uptime_s; workers; in_flight; queued; requests_total;
-         cache_hits; cache_misses; flight_seen; flight_capacity; routes;
-         recent; slowest }
+let encode_status = encode status_c
+
+let decode_status = decode status_c
 
 (* ------------------------------------------------------------------ *)
 (* Health *)
@@ -1295,48 +1040,32 @@ type healthz = { v : int; wire : int; bench : string; uptime_s : float }
 let healthz ~uptime_s =
   { v = version; wire = version; bench = bench_schema; uptime_s }
 
-let encode_healthz (h : healthz) =
-  Json.to_string
-    (Json.Obj
-       [
-         ("v", Json.Int h.v);
-         ("kind", Json.String "healthz");
-         ("wire", Json.Int h.wire);
-         ("bench_schema", Json.String h.bench);
-         ("uptime_s", Json.Float h.uptime_s);
-       ])
+let healthz_c =
+  obj (fun wire bench uptime_s -> { v = version; wire; bench; uptime_s })
+  |> const "v" int version
+  |> const "kind" string "healthz"
+  |> mem "wire" int ~enc:(fun h -> h.wire)
+  |> mem "bench_schema" string ~enc:(fun h -> h.bench)
+  |> mem "uptime_s" float ~enc:(fun h -> h.uptime_s)
+  |> finish
 
-let decode_healthz s =
-  let* j = parse s in
-  let* () = check_version j in
-  let* kind = str_field "kind" j in
-  if kind <> "healthz" then
-    Error (Printf.sprintf "expected kind \"healthz\", got %S" kind)
-  else
-    let* wire = int_field "wire" j in
-    let* bench = str_field "bench_schema" j in
-    let* uptime_s = float_field "uptime_s" j in
-    Ok { v = version; wire; bench; uptime_s }
+let encode_healthz = encode healthz_c
+
+let decode_healthz = decode healthz_c
 
 (* ------------------------------------------------------------------ *)
 (* Errors *)
 
-let encode_error ?code msg =
-  Json.to_string
-    (Json.Obj
-       (("v", Json.Int version)
-       :: ("error", Json.String msg)
-       ::
-       (match code with
-       | Some c -> [ ("code", Json.String c) ]
-       | None -> [])))
+let error_c =
+  obj (fun error code -> (error, code))
+  |> const "v" int version
+  |> mem "error" string ~enc:fst
+  |> opt "code" string ~enc:snd
+  |> finish
 
-let decode_error s =
-  match Json.of_string s with
-  | Ok j -> Option.bind (Json.member "error" j) Json.to_str
-  | Error _ -> None
+let encode_error ?code msg = encode error_c (msg, code)
+
+let decode_error s = Result.to_option (Result.map fst (decode error_c s))
 
 let decode_error_code s =
-  match Json.of_string s with
-  | Ok j -> Option.bind (Json.member "code" j) Json.to_str
-  | Error _ -> None
+  Option.join (Result.to_option (Result.map snd (decode error_c s)))

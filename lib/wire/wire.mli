@@ -1,7 +1,8 @@
 (** The versioned wire schema ([{"v":1}]) shared by every JSON emitter
     and consumer in the system: [pebble_cli --json]/[--trace], the
-    [prbpd] daemon, the bench load generator and the bracket rows of
-    [BENCH_solver.json] all speak exactly these records.
+    [prbpd] daemon, the bench load generator, and the bracket and
+    frontier rows of [BENCH_solver.json] (read back by
+    {!Prbp_harness.Regression}) all speak exactly these records.
 
     Four record families, each with an encoder and a decoder that
     round-trip ([decode (encode x) = Ok x]):
@@ -10,16 +11,24 @@
       and delivery options ({!request});
     - {e outcomes} — the anytime solve verdict with its certified
       interval, stats and optional strategy certificate ({!outcome});
-    - {e certificates} — the bracket record with both bounds, rule
-      attribution and the verified move list ({!bracket});
+    - {e certificates} — the bracket and frontier records with their
+      bounds, rule attribution and verified move lists ({!bracket},
+      {!frontier});
     - {e telemetry} — the {!Prbp_solver.Solver.Telemetry} events as
       JSON lines ({!encode_event}/{!jsonl}).
 
+    Each record is declared once, as a list of members in wire order
+    from which a small bidirectional codec derives both directions, so
+    the encoder and the decoder of a record cannot disagree.  All four
+    move vocabularies share one flat move shape,
+    [{"op", "q"?, "u"?, "v"}].
+
     Encoders are deterministic: equal values encode to equal bytes
     (what makes "a cache hit returns the byte-identical certificate"
-    testable).  Decoders are total and hardened — any malformed input
-    is an [Error], never an exception — because the daemon feeds them
-    straight from the network. *)
+    testable), and the v1 bytes are pinned by a golden file.  Decoders
+    are total and hardened — any malformed input is an [Error], never
+    an exception — because the daemon feeds them straight from the
+    network.  Unknown members are ignored. *)
 
 val version : int
 (** [1].  Every encoded record carries ["v":1]; decoders reject other
@@ -197,8 +206,8 @@ val encode_bracket : bracket -> string
     [lower_rule], [upper], [method], [upper_rule], [verifier],
     [tight], [interval_width], [rules], [profile_classes],
     [elapsed_s]) — the row format of [BENCH_solver.json] and
-    [pebble_cli bracket --json], still parsed by
-    {!Prbp_harness.Regression}. *)
+    [pebble_cli bracket --json].  [rule] and [method] repeat
+    [lower_rule] and [upper_rule]; they are written, never read. *)
 
 val decode_bracket : string -> (bracket, string) result
 
@@ -248,10 +257,21 @@ val frontier_of :
 (** [with_moves] (default false) embeds each point's witness strategy
     — the re-checkable certificates the daemon caches and serves. *)
 
+val frontier_points_n : frontier -> int
+(** Swept capacities with a feasible point ([points_n] on the wire). *)
+
+val frontier_front_n : frontier -> int
+(** Points not dominated by another ([front_n]). *)
+
+val frontier_open_n : frontier -> int
+(** Points whose communication interval is still open ([open_n]). *)
+
+val frontier_width : frontier -> int
+(** Summed communication interval widths ([front_width]). *)
+
 val encode_frontier : frontier -> string
 (** One object carrying ["kind":"frontier"] plus the derived row
-    metrics ([points_n], [front_n], [open_n], [front_width] — the
-    summed communication interval widths) that the
+    metrics above (written, never read) that the
     {!Prbp_harness.Regression} gate compares, with [elapsed_s] as the
     final field so golden-file comparisons can normalize it. *)
 

@@ -121,9 +121,9 @@ let test_golden_black () =
   List.iter
     (fun (name, dag, plain, slide) ->
       let g = dag () in
-      check_int (name ^ " black") plain (Prbp.Black.number g);
+      check_int (name ^ " black") plain (Test_util.black_number g);
       check_int (name ^ " black sliding") slide
-        (Prbp.Black.number ~sliding:true g))
+        (Test_util.black_number ~sliding:true g))
     golden_black
 
 let test_no_prune_agrees () =
@@ -226,13 +226,9 @@ let test_bounded_unified () =
   bounded "multi" (Prbp.Exact_multi.rbp_solve ~budget (mcfg ~p:2 ~r:5) g);
   (* every black move is free, so its certified interval sits at 0 *)
   bounded ~min_lower:0 "black" (Prbp.Black.solve ~budget ~s:8 g);
-  (* the deprecated wrappers still translate Bounded into the historic
-     engine-wide exception, catchable under any alias *)
-  check_true "black number still raises Game.Too_large"
-    (try
-       ignore (Prbp.Black.number ~max_states:5 g);
-       false
-     with Prbp.Game.Too_large _ -> true)
+  (* running out of states is an outcome, not an exception *)
+  check_true "black number is None under a 5-state budget"
+    (Prbp.Black.number ~max_states:5 g = None)
 
 (* Property: on random DAGs, the p = 1 multiprocessor optima equal the
    single-processor optima (including joint infeasibility). *)

@@ -71,6 +71,11 @@ let strategy_of what = function
   | S.Unsolvable _ -> None
   | S.Bounded _ -> Alcotest.failf "%s: budget exhausted" what
 
+let black_number ?sliding g =
+  match Prbp.Black.number ?sliding g with
+  | Some b -> b
+  | None -> Alcotest.fail "Black.number: state budget exhausted"
+
 let opt_rbp_opt ?budget ?prune ?eager_deletes cfg g =
   cost_of "Exact_rbp"
     (Prbp.Exact_rbp.solve ?budget ?prune ?eager_deletes cfg g)

@@ -598,6 +598,298 @@ let test_budget_class () =
     <> Wire.budget_class (b (Some 100_000) None None))
 
 (* ------------------------------------------------------------------ *)
+(* Pinned bytes: one encoding per record kind and shape, compared with
+   golden/wire_v1.jsonl line by line.  The round-trip properties above
+   hold for any self-consistent format; this pins the v1 format
+   itself, so a codec rewrite cannot drift a byte unnoticed. *)
+
+let golden_records () =
+  let module M = Prbp.Multi.Move in
+  let module T = Prbp.Solver.Telemetry in
+  let plain = Dag.make ~n:3 [ (0, 1); (1, 2) ] in
+  let named =
+    Dag.make
+      ~names:[| "a\"b"; "\xc3\xa9"; "tab\t"; "d" |]
+      ~family:"diamond" ~n:4
+      [ (0, 1); (0, 2); (1, 3); (2, 3) ]
+  in
+  let all_variants =
+    { Wire.sliding = true; recompute = true; no_delete = true }
+  in
+  let stats =
+    {
+      Prbp.Solver.explored = 10;
+      pruned = 2;
+      expansions = 7;
+      frontier = 0;
+      elapsed_s = 0.125;
+      mem_words = 4096;
+      prune_disabled = false;
+      spilled = 0;
+    }
+  in
+  let curve =
+    [
+      { Prbp.Solver.Convergence.t_s = 0.0; lower = 1; upper = None };
+      { Prbp.Solver.Convergence.t_s = 0.1; lower = 2; upper = Some 3 };
+    ]
+  in
+  let rbp =
+    Wire.Rbp_strategy
+      Prbp.Move.R.[ Load 0; Compute 1; Slide (1, 2); Save 2; Delete 0 ]
+  in
+  let prbp =
+    Wire.Prbp_strategy
+      Prbp.Move.P.[ Load 0; Compute (0, 1); Save 1; Clear 1; Delete 0 ]
+  in
+  let mrbp =
+    Wire.Multi_rbp_strategy
+      ( 2,
+        [ (M.Load (0, 0) : M.rbp); M.Compute (1, 1); M.Save (1, 1);
+          M.Delete (0, 0) ] )
+  in
+  let mprbp =
+    Wire.Multi_prbp_strategy
+      ( 2,
+        [ (M.Load (1, 0) : M.prbp); M.Compute (1, (0, 1)); M.Save (1, 1);
+          M.Delete (1, 0) ] )
+  in
+  let outcome ?strategy ?(curve = []) ?upper ?stopped
+      ?(variants = Wire.no_variants) game status lower =
+    Wire.encode_outcome
+      {
+        Wire.v = Wire.version;
+        game;
+        r = 3;
+        variants;
+        dag_hash = "0123456789abcdef0123456789abcdef";
+        n = 3;
+        m = 2;
+        status;
+        lower;
+        upper;
+        stopped;
+        strategy;
+        stats;
+        curve;
+      }
+  in
+  let bracket ?family ?profile_classes ?strategy ?(curve = []) game =
+    Wire.encode_bracket
+      {
+        Wire.v = Wire.version;
+        family;
+        game;
+        r = 4;
+        n = 16;
+        m = 24;
+        lower = 8;
+        lower_rule = "trivial";
+        upper = 12;
+        upper_rule = "banded2";
+        verifier = "literal";
+        tight = false;
+        width = 4;
+        rules = [ ("trivial", 8); ("source-cut", 6) ];
+        profile_classes;
+        strategy;
+        curve;
+        elapsed_s = 1.5;
+      }
+  in
+  let point ?comm_upper ?time_upper ?strategy ?(curve = []) ~r ~status ~settled
+      ~dominated () =
+    {
+      Wire.p = 2;
+      r;
+      comm_lower = 4;
+      comm_upper;
+      time_lower = 9;
+      time_upper;
+      status;
+      source = (if settled then "exact" else "pooled:trivial");
+      verified = true;
+      settled;
+      dominated;
+      strategy;
+      curve;
+    }
+  in
+  let progress upper =
+    {
+      T.expansions = 100;
+      explored = 150;
+      pruned = 3;
+      frontier = 12;
+      depth = 4;
+      table_load = 0.25;
+      elapsed_s = 0.5;
+      lower = 5;
+      upper;
+    }
+  in
+  let req trace_id route =
+    { Wire.trace_id; route; status = 200; cache = "hit"; dur_s = 0.25;
+      outcome = "optimal" }
+  in
+  [
+    Wire.encode_request
+      (Wire.request ~kind:Wire.Solve ~game:Wire.Rbp ~r:2 plain);
+    Wire.encode_request
+      (Wire.request ~variants:all_variants
+         ~budget:
+           { Wire.max_states = Some 1000; max_millis = Some 250;
+             max_words = Some 1_000_000 }
+         ~want_strategy:true ~stream:true ~rules:[ "trivial"; "source-cut" ]
+         ~rs:[ 2; 3 ] ~kind:Wire.Frontier ~game:(Wire.Multi_prbp 2) ~r:3 named);
+    Wire.encode_request
+      (Wire.request
+         ~budget:{ Wire.no_budget with max_millis = Some 50 }
+         ~rules:[] ~kind:Wire.Bracket ~game:Wire.Prbp ~r:4 plain);
+    outcome ~strategy:rbp ~curve ~upper:3
+      ~variants:{ Wire.no_variants with sliding = true }
+      Wire.Rbp `Optimal 3;
+    outcome ~strategy:prbp ~upper:2 Wire.Prbp `Optimal 2;
+    outcome ~strategy:mrbp ~curve ~upper:3 ~stopped:"deadline"
+      (Wire.Multi_rbp 2) `Bounded 2;
+    outcome ~strategy:mprbp ~stopped:"max-states" (Wire.Multi_prbp 2)
+      `Bounded 1;
+    outcome Wire.Black `Unsolvable 0;
+    bracket ~family:"fft:16" ~profile_classes:12 ~strategy:prbp ~curve
+      Wire.Prbp;
+    bracket Wire.Rbp;
+    Wire.encode_frontier
+      {
+        Wire.v = Wire.version;
+        family = Some "fig1";
+        game = Wire.Multi_rbp 2;
+        dag_hash = "0123456789abcdef0123456789abcdef";
+        n = 3;
+        m = 2;
+        model = "unit";
+        points =
+          [
+            point ~comm_upper:4 ~time_upper:18 ~strategy:mrbp ~curve ~r:3
+              ~status:`Exact ~settled:true ~dominated:false ();
+            point ~comm_upper:7 ~r:2 ~status:`Bracketed ~settled:false
+              ~dominated:true ();
+          ];
+        infeasible_rs = [ 1 ];
+        exhausted = false;
+        elapsed_s = 2.0;
+      };
+    Wire.encode_event (T.Start { width = 3; max_states = 1000 });
+    Wire.encode_event (T.Progress (progress (Some 9)));
+    Wire.encode_event (T.Prune { pruned = 8 });
+    Wire.encode_event
+      (T.Stop { outcome = "optimal"; progress = progress None });
+    Wire.encode_status
+      (Wire.status_report ~uptime_s:12.5 ~workers:2 ~in_flight:1 ~queued:0
+         ~requests_total:5 ~cache_hits:3 ~cache_misses:2 ~flight_seen:5
+         ~flight_capacity:32
+         ~routes:
+           [
+             { Wire.route = "/v1/solve"; count = 4; sum_s = 0.75;
+               buckets = [ (0.001, 1); (0.5, 4) ] };
+           ]
+         ~recent:[ req 5 "/v1/solve"; req 4 "/v1/bracket" ]
+         ~slowest:[ req 4 "/v1/bracket" ]
+         ());
+    Wire.encode_healthz (Wire.healthz ~uptime_s:12.5);
+    Wire.encode_error "boom";
+    Wire.encode_error ~code:"invalid-argument" "p \"too\" large";
+  ]
+
+let read_lines path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+(* Each body is one malformed field away from a valid one; [valid]
+   holds the unmodified bodies, so a rejection is never an accident of
+   the template. *)
+let valid, malformed =
+  let rq ?(dag = "{\"nodes\":2,\"edges\":[[0,1]]}") ?(game = "rbp") fields =
+    `Request
+      (Printf.sprintf
+         "{\"v\":1,\"kind\":\"solve\",\"game\":%S,%s,\"dag\":%s}" game
+         fields dag)
+  in
+  let outcome ?(status = "optimal") ?(extra = "") () =
+    `Outcome
+      (Printf.sprintf
+         "{\"v\":1,\"game\":\"multi-rbp:2\",\"r\":2,\"dag_hash\":\"x\",\"n\":2,\
+          \"m\":1,\"status\":%S,\"lower\":1%s,\"stats\":{\"explored\":1,\
+          \"pruned\":0,\"expansions\":1,\"frontier\":0,\"elapsed_s\":0.5,\
+          \"mem_words\":0,\"prune_disabled\":false,\"spilled\":0}}"
+         status extra)
+  in
+  let status buckets =
+    `Status
+      (Printf.sprintf
+         "{\"v\":1,\"kind\":\"status\",\"uptime_s\":1.0,\"workers\":1,\
+          \"in_flight\":0,\"queued\":0,\"requests_total\":0,\"cache_hits\":0,\
+          \"cache_misses\":0,\"flight_seen\":0,\"flight_capacity\":1,\
+          \"routes\":[{\"route\":\"/v1/solve\",\"count\":1,\"sum_s\":0.5,\
+          \"buckets\":%s}],\"recent\":[],\"slowest\":[]}"
+         buckets)
+  in
+  let move m =
+    Printf.sprintf ",\"strategy\":{\"game\":\"multi-rbp:2\",\"moves\":[%s]}" m
+  in
+  let curve c = Printf.sprintf ",\"curve\":[%s]" c in
+  ( [
+      rq "\"r\":2,\"rs\":[2,3],\"want_strategy\":true";
+      outcome
+        ~extra:(move "{\"op\":\"load\",\"q\":0,\"v\":0}" ^ curve "[0.5,1,null]")
+        ();
+      status "[[0.5,1]]";
+    ],
+    [
+      ("non-integer r", rq "\"r\":1.5");
+      ("string r", rq "\"r\":\"2\"");
+      ("negative r", rq "\"r\":-1");
+      ("negative nodes", rq ~dag:"{\"nodes\":-1,\"edges\":[]}" "\"r\":2");
+      ("rs entry below 1", rq "\"r\":2,\"rs\":[2,0]");
+      ( "names of the wrong length",
+        rq ~dag:"{\"nodes\":2,\"edges\":[[0,1]],\"names\":[\"a\"]}" "\"r\":2" );
+      ("null flag", rq "\"r\":2,\"want_strategy\":null");
+      ("null variant flag", rq "\"r\":2,\"variants\":{\"sliding\":null}");
+      ("unknown game", rq ~game:"go" "\"r\":2");
+      ("negative q", outcome ~extra:(move "{\"op\":\"load\",\"q\":-1,\"v\":0}") ());
+      ("unknown op", outcome ~extra:(move "{\"op\":\"jump\",\"q\":0,\"v\":0}") ());
+      ("unknown status", outcome ~status:"maybe" ());
+      ("short curve triple", outcome ~extra:(curve "[0.5,1]") ());
+      ("non-integer curve bound", outcome ~extra:(curve "[0.5,\"x\",null]") ());
+      ("unknown event", `Event "{\"v\":1,\"ev\":\"nope\"}");
+      ("short bucket pair", status "[[0.5]]");
+      ("non-integer bucket count", status "[[0.5,1.5]]");
+    ] )
+
+let test_golden_bytes () =
+  let fresh = golden_records () in
+  let golden =
+    (* next to the test binary, where the dune rule copies it *)
+    read_lines
+      (Filename.concat
+         (Filename.dirname Sys.executable_name)
+         "golden/wire_v1.jsonl")
+  in
+  check_int "record count" (List.length golden) (List.length fresh);
+  List.iteri
+    (fun i (want, got) ->
+      Alcotest.(check string) (Printf.sprintf "line %d" (i + 1)) want got)
+    (List.combine golden fresh);
+  let rejected = function
+    | `Request s -> Result.is_error (Wire.decode_request s)
+    | `Outcome s -> Result.is_error (Wire.decode_outcome s)
+    | `Event s -> Result.is_error (Wire.decode_event s)
+    | `Status s -> Result.is_error (Wire.decode_status s)
+  in
+  List.iter (fun body -> check_false "unmodified body" (rejected body)) valid;
+  List.iter (fun (name, body) -> check_true name (rejected body)) malformed
+
+(* ------------------------------------------------------------------ *)
 (* Canonical form + content hash (the prbpd cache key) *)
 
 let permuted g seed =
@@ -671,6 +963,7 @@ let suite =
         case "pre-curve records decode tolerantly"
           test_tolerant_pre_curve_decode;
         case "decoders reject malformed input" test_rejects;
+        case "v1 encodings are byte-stable" test_golden_bytes;
         case "error bodies carry an optional code" test_error_code;
         case "minimal request decodes with defaults" test_defaults;
         case "json parser hardening" test_json_parser;
