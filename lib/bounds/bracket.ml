@@ -39,7 +39,7 @@ let emit telemetry event =
   | Some sink -> sink.Solver.Telemetry.emit event
   | None -> ()
 
-(* Brackets report certified bounds at stage boundaries, not search
+(* Brackets report certified bounds as they are found, not search
    counters, so the counter fields of their progress events are 0. *)
 let stage_progress ~elapsed_s ~lower ~upper : Solver.Telemetry.progress =
   {
@@ -83,8 +83,9 @@ let stage ~name hist f =
 
 (* Constructive profile of the DAG at s = 2r: how the greedy
    partitioner decomposes it.  Flow computations make this O(n·poly),
-   so skip it on very large DAGs; its absence never weakens the
-   bracket (profiles are descriptive, the bounds carry the proof). *)
+   so skip it on very large DAGs and once the deadline has passed; its
+   absence never weakens the bracket (profiles are descriptive, the
+   bounds carry the proof). *)
 let profile_gate = 4096
 
 let make_profile ~flavor g ~s =
@@ -102,11 +103,12 @@ let run ?(budget = Solver.Budget.default) ?telemetry ?rules ~game ~r
     ~upper_portfolio ~profile_flavor g =
   let body () =
     let t0 = Clock.now () in
+    let deadline = Clock.deadline_of_millis budget.Solver.Budget.max_millis in
     emit telemetry
       (Solver.Telemetry.Start
          { width = Dag.n_nodes g; max_states = budget.Solver.Budget.max_states });
     (* the bracket's convergence curve: one certified (lower, upper)
-       sighting per stage boundary, folded monotone *)
+       sighting per verified improvement, folded monotone *)
     let conv, _ = Solver.Convergence.recorder () in
     let sight ~lower ~upper =
       let elapsed_s = Clock.elapsed_s t0 in
@@ -143,9 +145,12 @@ let run ?(budget = Solver.Budget.default) ?telemetry ?rules ~game ~r
       | Some left ->
           { budget with Solver.Budget.max_millis = Some (max 1 left) }
     in
+    (* each verified improvement is a curve point and a progress
+       event the moment its replay passes *)
+    let on_improve cost _ = sight ~lower:lower.Lower.bound ~upper:(Some cost) in
     let upper_result =
       stage ~name:"bracket.upper" m_stage_upper (fun () ->
-          let u = upper_portfolio ~budget:upper_budget ~r g in
+          let u = upper_portfolio ~budget:upper_budget ~on_improve ~r g in
           (match u with
           | Ok (cost, _, meth, _) ->
               Span.add_attr "method" (Upper.meth_label meth);
@@ -153,9 +158,6 @@ let run ?(budget = Solver.Budget.default) ?telemetry ?rules ~game ~r
           | Error _ -> ());
           u)
     in
-    (match upper_result with
-    | Ok (cost, _, _, _) -> sight ~lower:lower.Lower.bound ~upper:(Some cost)
-    | Error _ -> ());
     (* and vice versa: if a lower rule was budget-truncated and the
        upper phase left usable time, spend it tightening the floor *)
     let lower =
@@ -198,8 +200,10 @@ let run ?(budget = Solver.Budget.default) ?telemetry ?rules ~game ~r
                   lower.Lower.bound upper))
         else begin
           let profile =
-            stage ~name:"bracket.profile" m_stage_profile (fun () ->
-                make_profile ~flavor:profile_flavor g ~s:(2 * r))
+            if Clock.expired deadline then None
+            else
+              stage ~name:"bracket.profile" m_stage_profile (fun () ->
+                  make_profile ~flavor:profile_flavor g ~s:(2 * r))
           in
           let tight = lower.Lower.bound = upper in
           finish
@@ -238,20 +242,20 @@ let run ?(budget = Solver.Budget.default) ?telemetry ?rules ~game ~r
 
 let rbp ?budget ?telemetry ?rules ~r g =
   run ?budget ?telemetry ?rules ~game:Lower.Rbp ~r
-    ~upper_portfolio:(fun ~budget ~r g ->
+    ~upper_portfolio:(fun ~budget ~on_improve ~r g ->
       Result.map
         (fun (u : _ Upper.t) ->
           (u.Upper.cost, Rbp_moves u.Upper.moves, u.Upper.meth, u.Upper.verified))
-        (Upper.rbp ~budget ~r g))
+        (Upper.rbp ~budget ~on_improve ~r g))
     ~profile_flavor:Segment.Spartition g
 
 let prbp ?budget ?telemetry ?rules ~r g =
   run ?budget ?telemetry ?rules ~game:Lower.Prbp ~r
-    ~upper_portfolio:(fun ~budget ~r g ->
+    ~upper_portfolio:(fun ~budget ~on_improve ~r g ->
       Result.map
         (fun (u : _ Upper.t) ->
           (u.Upper.cost, Prbp_moves u.Upper.moves, u.Upper.meth, u.Upper.verified))
-        (Upper.prbp ~budget ~r g))
+        (Upper.prbp ~budget ~on_improve ~r g))
     ~profile_flavor:Segment.Dominator g
 
 let pp ppf t =

@@ -32,16 +32,20 @@ type t = {
   verified : [ `Literal | `Engine ];  (** which checker certified it *)
   profile : Segment.t option;
       (** constructive partition of the DAG at [s = 2r] (validated);
-          [None] on very large DAGs or when no partition exists *)
+          [None] on very large DAGs, when no partition exists, or when
+          the budget's deadline had passed before it was computed (it
+          only describes the DAG; no bound depends on it) *)
   tight : bool;  (** [lower.bound = upper]: the bracket pins OPT *)
   elapsed_s : float;
   curve : Prbp_solver.Solver.Convergence.curve;
-      (** how the bracket tightened over the run: one monotone
-          [(t_s, lower, upper)] sighting per stage boundary (lower
-          portfolio done, upper portfolio done, optional lower re-run,
-          terminal).  The final point always equals
-          [(elapsed_s, lower.bound, Some upper)] up to de-duplication
-          of non-tightening sightings. *)
+      (** how the bracket tightened over the run, as monotone
+          [(t_s, lower, upper)] points: one when the lower portfolio
+          is done, one per upper-bound candidate that passed
+          verification and beat the incumbent (recorded the moment its
+          replay passed), and one if a lower re-run raised the floor.
+          The final point always equals [(lower.bound, Some upper)];
+          its [t_s] is when that interval was first certified, at or
+          before [elapsed_s]. *)
 }
 
 val rbp :
@@ -57,12 +61,19 @@ val rbp :
     phase finishes (so a short-circuiting rule portfolio donates its
     unused allotment), and leftover time after the upper phase flows
     back into a lower re-run when some rule was budget-truncated.
+    The upper phase checks the clock before every base candidate after
+    the first, and the profile is skipped once the deadline has passed,
+    so a bracket overruns its deadline by about one candidate; under a
+    tight deadline it can be wider than without one.
     Closed-form analytic bounds attach automatically from the DAG's
     {!Prbp_dag.Dag.family} tag.  [rules] restricts the {!Lower}
     registry (see {!Lower.compute}).  [telemetry] receives a [Start]
-    event and a terminal [Stop] whose outcome is ["optimal"] when the
-    bracket is tight, ["bounded"] otherwise.  [Error] when no valid
-    strategy exists at this [r] (below the feasibility threshold). *)
+    event, one [Progress] event per point of [curve] as that point is
+    certified (its [lower] and [upper] carry the interval; the search
+    counters are 0), and a terminal [Stop] whose outcome is
+    ["optimal"] when the bracket is tight, ["bounded"] otherwise.
+    [Error] when no valid strategy exists at this [r] (below the
+    feasibility threshold). *)
 
 val prbp :
   ?budget:Prbp_solver.Solver.Budget.t ->

@@ -98,17 +98,26 @@ let make_clock (budget : Solver.Budget.t) =
 
 (* Shared portfolio driver: [candidates] yields (meth, lazy moves);
    every candidate is certified by [verify] before its cost is
-   believed, and a rejected or crashing candidate is skipped. *)
-let run_portfolio ~verify ~clock ~base_candidates ~reorder ~optimize =
+   believed, and a rejected or crashing candidate is skipped.  Each
+   verified candidate that beats the incumbent is reported to
+   [on_improve] at once, so callers can publish it before the
+   portfolio ends.  The first base candidate always runs; the clock is
+   checked before every later one. *)
+let run_portfolio ~verify ~clock ~on_improve ~base_candidates ~reorder
+    ~optimize =
   let best = ref None in
   let consider meth moves =
     match verify moves with
     | Error _ -> ()
-    | Ok (cost, verified) ->
+    | Ok (cost, verified) -> (
         Metrics.Counter.incr m_accepted;
-        (match !best with
+        Span.add_attr "cost" (string_of_int cost);
+        match !best with
         | Some b when b.cost <= cost -> ()
-        | _ -> best := Some { cost; moves; meth; verified })
+        | _ ->
+            best := Some { cost; moves; meth; verified };
+            Span.add_attr "improved" "true";
+            on_improve cost meth)
   in
   let attempt ?(span = "upper.candidate") meth produce =
     Metrics.Counter.incr m_candidates;
@@ -121,8 +130,14 @@ let run_portfolio ~verify ~clock ~base_candidates ~reorder ~optimize =
       Span.with_ ~name:span ~attrs:[ ("method", meth_label meth) ] go
     else go ()
   in
+  let rec base first = function
+    | (meth, produce) :: rest when first || clock.time_ok () ->
+        attempt meth produce;
+        base false rest
+    | _ -> ()
+  in
   let go () =
-    List.iter (fun (meth, produce) -> attempt meth produce) base_candidates;
+    base true base_candidates;
     (match reorder with
     | None -> ()
     | Some run_with_order ->
@@ -264,7 +279,8 @@ let banded_candidates run_with_order g =
           fun () -> run_with_order (banded_order g ~h) ))
       banded_heights
 
-let rbp ?(budget = Solver.Budget.default) ~r g =
+let rbp ?(budget = Solver.Budget.default) ?(on_improve = fun _ _ -> ())
+    ~r g =
   if r < Thresholds.rbp_feasible_r g then
     Error "Upper.rbp: r is below the RBP feasibility threshold (max in-degree + 1)"
   else
@@ -285,10 +301,12 @@ let rbp ?(budget = Solver.Budget.default) ~r g =
           (fun s -> Heuristic.rbp ~policy:Heuristic.Belady ~order:(perturb g base s) ~r g)
       else None
     in
-    run_portfolio ~verify:(verify_rbp ~r g) ~clock ~base_candidates ~reorder
+    run_portfolio ~verify:(verify_rbp ~r g) ~clock ~on_improve ~base_candidates
+      ~reorder
       ~optimize:(fun moves -> Optimize.rbp (Rbp_engine.config ~r ()) g moves)
 
-let prbp ?(budget = Solver.Budget.default) ~r g =
+let prbp ?(budget = Solver.Budget.default) ?(on_improve = fun _ _ -> ())
+    ~r g =
   if r < Thresholds.prbp_feasible_r g then
     Error "Upper.prbp: r is below the PRBP feasibility threshold (2 on any DAG with an edge)"
   else
@@ -316,5 +334,6 @@ let prbp ?(budget = Solver.Budget.default) ~r g =
             Heuristic.prbp ~policy:Heuristic.Belady ~order:(perturb g base s) ~r g)
       else None
     in
-    run_portfolio ~verify:(verify_prbp ~r g) ~clock ~base_candidates ~reorder
+    run_portfolio ~verify:(verify_prbp ~r g) ~clock ~on_improve
+      ~base_candidates ~reorder
       ~optimize:(fun moves -> Optimize.prbp (Prbp_engine.config ~r ()) g moves)

@@ -9,7 +9,7 @@
     The returned cost is therefore the certified cost of a complete
     pebbling whose move list is included as the certificate.
 
-    The portfolio, per game:
+    The portfolio, per game, in the order it runs:
 
     - every eviction policy of {!Prbp_solver.Heuristic} (Belady / LRU /
       FIFO), and for PRBP each policy with and without [defer_saves] —
@@ -25,7 +25,17 @@
       keep the order topological), re-running the Belady pebbler on
       each perturbed order while the budget's wall clock allows;
     - a final {!Prbp_solver.Optimize} pass on the incumbent (deletes
-      redundant saves/loads, each deletion re-verified by replay). *)
+      redundant saves/loads, each deletion re-verified by replay).
+
+    The portfolio is anytime: each verified candidate that beats the
+    incumbent is reported to the caller's [on_improve] as soon as its
+    replay passes.  The first base candidate (Belady) always runs; the
+    budget's wall clock and cancellation are checked before every later
+    candidate, so the stage overruns its deadline by at most one
+    candidate.  With tracing on, each [upper.candidate],
+    [upper.reorder] and [upper.optimize] span carries the verified
+    [cost] (absent when the checker rejected it) and [improved=true]
+    when the candidate became the incumbent. *)
 
 type meth = {
   base : string;  (** ["belady"], ["lru+defer"], ["greedy-edges"], … *)
@@ -56,17 +66,21 @@ val banded_order : Prbp_dag.Dag.t -> h:int -> Prbp_dag.Dag.node array
 
 val rbp :
   ?budget:Prbp_solver.Solver.Budget.t ->
+  ?on_improve:(int -> meth -> unit) ->
   r:int ->
   Prbp_dag.Dag.t ->
   (Prbp_pebble.Move.R.t t, string) result
-(** Best verified RBP strategy found within [budget] (wall clock and
-    cancellation honored between candidates; at least the base policy
-    portfolio always runs).  [Error] if [r] is below the RBP
-    feasibility threshold [Δin + 1] or no candidate survives
-    verification. *)
+(** Best verified RBP strategy found within [budget]: the first base
+    candidate always runs, and the wall clock and cancellation are
+    checked before each later one.  [on_improve cost meth] is called
+    for every candidate that passes verification and beats the
+    incumbent, in order, so its last call reports the result.
+    [Error] if [r] is below the RBP feasibility threshold [Δin + 1] or
+    no candidate survives verification. *)
 
 val prbp :
   ?budget:Prbp_solver.Solver.Budget.t ->
+  ?on_improve:(int -> meth -> unit) ->
   r:int ->
   Prbp_dag.Dag.t ->
   (Prbp_pebble.Move.P.t t, string) result

@@ -1,3 +1,5 @@
+module Clock = Prbp_obs.Clock
+
 type request = {
   meth : string;
   path : string;
@@ -61,54 +63,73 @@ let parse_head head =
           Ok (String.uppercase_ascii meth, path, headers)
       | _ -> Error "malformed request line")
 
+(* Each read is also bounded by the socket's receive timeout, but a
+   peer that sends one byte per timeout would otherwise hold a worker
+   for days. *)
+let request_deadline_s = 30.
+
+exception Too_slow
+
 let read_request ?(max_header = 16 * 1024) ?(max_body = 64 * 1024 * 1024) fd =
+  let deadline = Clock.now () +. request_deadline_s in
   let buf = Buffer.create 1024 in
   let chunk = Bytes.create 8192 in
+  let more () =
+    let alive = read_more fd buf chunk in
+    if Clock.expired deadline then raise Too_slow;
+    alive
+  in
   let rec read_head () =
     match find_head_end (Buffer.contents buf) with
     | Some head_end -> Ok head_end
     | None ->
         if Buffer.length buf > max_header then Error "request head too large"
-        else if read_more fd buf chunk then read_head ()
+        else if more () then read_head ()
         else Error "connection closed before request head"
   in
-  match read_head () with
-  | Error _ as e -> e
-  | Ok head_end -> (
-      let all = Buffer.contents buf in
-      match parse_head (String.sub all 0 (head_end - 4)) with
-      | Error _ as e -> e
-      | Ok (meth, path, headers) -> (
-          match List.assoc_opt "transfer-encoding" headers with
-          | Some te when String.lowercase_ascii te <> "identity" ->
-              Error "transfer-encoding not supported in requests"
-          | _ -> (
-              let content_length =
-                match List.assoc_opt "content-length" headers with
-                | None -> Ok 0
-                | Some s -> (
-                    match int_of_string_opt (String.trim s) with
-                    | Some n when n >= 0 -> Ok n
-                    | _ -> Error "bad content-length")
-              in
-              match content_length with
-              | Error _ as e -> e
-              | Ok wanted ->
-                  if wanted > max_body then Error "request body too large"
-                  else begin
-                    let rec read_body () =
-                      if Buffer.length buf - head_end >= wanted then
-                        Ok
-                          (String.sub (Buffer.contents buf) head_end wanted)
-                      else if read_more fd buf chunk then read_body ()
-                      else Error "connection closed before request body"
-                    in
-                    match read_body () with
-                    | Error _ as e -> e
-                    | Ok body -> Ok { meth; path; headers; body }
-                  end)))
-  | exception Unix.Unix_error (e, _, _) ->
-      Error ("read: " ^ Unix.error_message e)
+  let read () =
+    match read_head () with
+    | Error _ as e -> e
+    | Ok head_end -> (
+        let all = Buffer.contents buf in
+        match parse_head (String.sub all 0 (head_end - 4)) with
+        | Error _ as e -> e
+        | Ok (meth, path, headers) -> (
+            match List.assoc_opt "transfer-encoding" headers with
+            | Some te when String.lowercase_ascii te <> "identity" ->
+                Error "transfer-encoding not supported in requests"
+            | _ -> (
+                let content_length =
+                  match List.assoc_opt "content-length" headers with
+                  | None -> Ok 0
+                  | Some s -> (
+                      match int_of_string_opt (String.trim s) with
+                      | Some n when n >= 0 -> Ok n
+                      | _ -> Error "bad content-length")
+                in
+                match content_length with
+                | Error _ as e -> e
+                | Ok wanted ->
+                    if wanted > max_body then Error "request body too large"
+                    else begin
+                      let rec read_body () =
+                        if Buffer.length buf - head_end >= wanted then
+                          Ok
+                            (String.sub (Buffer.contents buf) head_end wanted)
+                        else if more () then read_body ()
+                        else Error "connection closed before request body"
+                      in
+                      match read_body () with
+                      | Error _ as e -> e
+                      | Ok body -> Ok { meth; path; headers; body }
+                    end)))
+  in
+  (* a failed or late read, in the head or the body *)
+  try read () with
+  | Unix.Unix_error (e, _, _) -> Error ("read: " ^ Unix.error_message e)
+  | Too_slow ->
+      Error
+        (Printf.sprintf "request not received within %.0f s" request_deadline_s)
 
 (* ------------------------------------------------------------------ *)
 (* Writing *)

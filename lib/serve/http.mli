@@ -12,11 +12,21 @@ type request = {
   body : string;
 }
 
+val request_deadline_s : float
+(** 30 s: the whole request must arrive within this long of the call
+    to {!read_request}.  The daemon also uses it as each connection's
+    per-read receive timeout, so a trickling client holds a worker for
+    at most about twice this long. *)
+
 val read_request :
   ?max_header:int -> ?max_body:int -> Unix.file_descr -> (request, string) result
 (** Read one request.  Defaults: 16 KiB of head, 64 MiB of body.
     [Error] on malformed head, over-cap sizes, unsupported transfer
-    encodings, or a peer that hangs up mid-request. *)
+    encodings, a peer that hangs up mid-request, or a request not
+    received in full within {!request_deadline_s} of the call (read
+    from {!Prbp_obs.Clock}, checked after every read).  The deadline
+    implies a minimum transfer rate: a body of the default 64 MiB cap
+    must arrive at 2.2 MB/s or more. *)
 
 val header : request -> string -> string option
 (** Case-insensitive header lookup. *)

@@ -844,7 +844,7 @@ let run ?(stop = Atomic.make false) cfg =
     (* per-connection guard rails: a stalled peer times the worker out
        instead of pinning it forever *)
     (try
-       Unix.setsockopt_float client Unix.SO_RCVTIMEO 30.0;
+       Unix.setsockopt_float client Unix.SO_RCVTIMEO Http.request_deadline_s;
        Unix.setsockopt_float client Unix.SO_SNDTIMEO 30.0
      with Unix.Unix_error _ -> ());
     Fun.protect

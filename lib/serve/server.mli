@@ -64,7 +64,10 @@ type config = {
       (** server-wide cap on a request's wall-clock budget; requests
           asking for more (or nothing) get this *)
   max_states : int;  (** state cap per solve *)
-  max_body : int;  (** request body cap, bytes *)
+  max_body : int;
+      (** request body cap, bytes.  The whole request must arrive
+          within {!Http.request_deadline_s}, so a body at the
+          default 64 MiB cap needs 2.2 MB/s or more. *)
 }
 
 val default_config : config

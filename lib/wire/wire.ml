@@ -940,9 +940,9 @@ let jsonl ?every oc =
   Telemetry.make ?every (fun ev ->
       output_string oc (encode_event ev);
       output_char oc '\n';
-      (* stop events close a solve; make sure they reach the reader
-         even when the process is about to exit non-zero *)
-      match ev with Telemetry.Stop _ -> flush oc | _ -> ())
+      (* each event reaches the reader as soon as it is emitted, and
+         none is lost when the process exits non-zero *)
+      flush oc)
 
 (* ------------------------------------------------------------------ *)
 (* Daemon status *)

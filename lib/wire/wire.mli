@@ -189,9 +189,9 @@ type bracket = {
   profile_classes : int option;
   strategy : strategy option;  (** the verified moves achieving [upper] *)
   curve : Prbp_solver.Solver.Convergence.curve;
-      (** the bracket's stage-boundary convergence curve
-          ({!Prbp_bounds.Bracket.t.curve}); its final point equals
-          [(elapsed_s, lower, Some upper)] *)
+      (** the bracket's convergence curve
+          ({!Prbp_bounds.Bracket.t.curve}), one point per verified
+          improvement; its final point carries [(lower, Some upper)] *)
   elapsed_s : float;
 }
 
@@ -292,8 +292,8 @@ val decode_event :
 
 val jsonl :
   ?every:int -> out_channel -> Prbp_solver.Solver.Telemetry.sink
-(** JSON-lines emitter: one {!encode_event} line per event ([Stop]
-    events flush the channel) — the sink behind [pebble_cli --trace]. *)
+(** JSON-lines emitter: one {!encode_event} line per event, flushed
+    as it is written — the sink behind [pebble_cli --trace]. *)
 
 (** {1 Daemon status} *)
 

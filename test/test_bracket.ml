@@ -113,9 +113,9 @@ let test_tight_bracket () =
       check_int "OPT agrees" (opt_rbp (Prbp.Rbp.config ~r:6 ()) g)
         b.Bracket.upper
 
-(* a starved budget must degrade the bracket, never break it: the base
-   heuristics still produce a verified strategy and the lower portfolio
-   falls back to the always-cheap rules *)
+(* a starved budget must degrade the bracket, never break it: the first
+   base heuristic (Belady) still runs and produces a verified strategy,
+   and the lower portfolio falls back to the always-cheap rules *)
 let test_starved_budget_stays_sound () =
   let budget =
     Prbp.Solver.Budget.v ~max_states:10 ~max_millis:1 ~check_every:1 ()
@@ -132,6 +132,83 @@ let test_starved_budget_stays_sound () =
                 (b.Bracket.lower.Lower.bound <= opt
                 && opt <= b.Bracket.upper)))
     (Lazy.force small_graphs)
+
+let fft16 () = (Prbp.Graphs.Fft.make ~m:16).Prbp.Graphs.Fft.dag
+
+(* the upper stage is anytime: every verified improvement is a curve
+   point as soon as its replay passes, so the curve reaches the final
+   width before the bracket returns *)
+let test_curve_has_every_improvement () =
+  let module C = Prbp.Solver.Convergence in
+  match Bracket.prbp ~r:4 (fft16 ()) with
+  | Error e -> Alcotest.failf "fft:16: %s" e
+  | Ok b -> (
+      let curve = b.Bracket.curve in
+      let show (p : C.point) =
+        Printf.sprintf "%d/%s" p.C.lower
+          (match p.C.upper with Some u -> string_of_int u | None -> "-")
+      in
+      Alcotest.(check (list string))
+        "lower sighting, then belady, banded1 and banded2"
+        [ "32/-"; "32/160"; "32/120"; "32/112" ]
+        (List.map show curve);
+      check_true "monotone" (C.monotone curve);
+      (match C.final curve with
+      | Some p ->
+          check_true "ends at the bracket"
+            (p.C.lower = b.Bracket.lower.Lower.bound
+            && p.C.upper = Some b.Bracket.upper)
+      | None -> Alcotest.fail "empty curve");
+      match C.time_to_width curve b.Bracket.width with
+      | Some t ->
+          check_true "width reached before the bracket returns"
+            (t < b.Bracket.elapsed_s)
+      | None -> Alcotest.fail "the curve never reaches the bracket's width")
+
+(* a deadline that expires during the lower stage leaves the upper
+   stage one base candidate and skips the profile; the strategy is
+   still certified.  The fake clock advances 1 s per read, so the
+   1 s deadline has passed by the lower stage's first reads. *)
+let test_expired_deadline_runs_one_candidate () =
+  let module Clock = Prbp.Obs.Clock in
+  let module Span = Prbp.Obs.Span in
+  let g = fft16 () in
+  let t = ref 0. in
+  Clock.set_source
+    (Some
+       (fun () ->
+         t := !t +. 1.;
+         !t));
+  Span.reset ();
+  Span.set_enabled true;
+  let result, spans =
+    Fun.protect
+      ~finally:(fun () ->
+        Span.set_enabled false;
+        Span.reset ();
+        Clock.set_source None)
+      (fun () ->
+        let budget = Prbp.Solver.Budget.v ~max_millis:1000 () in
+        let b = Bracket.prbp ~budget ~r:4 g in
+        (b, Span.spans ()))
+  in
+  let count name =
+    List.length (List.filter (fun s -> s.Span.name = name) spans)
+  in
+  match result with
+  | Error e -> Alcotest.failf "fft:16 under an expired deadline: %s" e
+  | Ok b -> (
+      check_int "one base candidate" 1 (count "upper.candidate");
+      check_int "no hill climb" 0 (count "upper.reorder");
+      check_int "no optimize pass" 0 (count "upper.optimize");
+      check_true "profile skipped" (b.Bracket.profile = None);
+      check_int "no profile stage" 0 (count "bracket.profile");
+      match b.Bracket.moves with
+      | Bracket.Prbp_moves mv -> (
+          match Prbp.Verifier.P.check ~r:4 g mv with
+          | Ok c -> check_int "strategy replays at its upper" b.Bracket.upper c
+          | Error e -> Alcotest.failf "replay rejected: %s" e)
+      | Bracket.Rbp_moves _ -> Alcotest.fail "PRBP bracket carries RBP moves")
 
 let test_deterministic_without_deadline () =
   (* no wall clock in the budget: two runs must agree on every field
@@ -183,6 +260,56 @@ let test_json_row () =
             "bracket row round-trips byte-identically" json
             (Prbp.Wire.encode_bracket wb)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned certificates: with no deadline a bracket is deterministic, so
+   each one, moves included, is compared byte for byte with
+   golden/brackets_v1.jsonl.  The wall-clock fields ([curve],
+   [elapsed_s]) are blanked. *)
+
+let golden_dags () =
+  let fft m = (Prbp.Graphs.Fft.make ~m).Prbp.Graphs.Fft.dag in
+  [
+    ("fig1", fst (Prbp.Graphs.Fig1.full ()));
+    ("diamond", Prbp.Graphs.Basic.diamond ());
+    ("tree(2,3)", (Prbp.Graphs.Tree.make ~k:2 ~depth:3).Prbp.Graphs.Tree.dag);
+    ("pyramid(5)", Prbp.Graphs.Basic.pyramid 5);
+    ("fft:8", fft 8);
+    ("fft:16", fft 16);
+    ( "attention-qkt:4:4",
+      (Prbp.Graphs.Attention.qkt ~m:4 ~d:4).Prbp.Graphs.Matmul.dag );
+  ]
+  @ List.map
+      (fun seed ->
+        ( Printf.sprintf "random:%d" seed,
+          Prbp.Graphs.Random_dag.make ~seed ~layers:4 ~width:3 () ))
+      [ 1; 2; 3 ]
+
+(* both games at the RBP feasibility threshold and one above it *)
+let golden_brackets () =
+  List.concat_map
+    (fun (name, g) ->
+      let r0 = Prbp.Thresholds.rbp_feasible_r g in
+      List.concat_map
+        (fun game ->
+          List.map
+            (fun r ->
+              match bracket game ~r g with
+              | Error e -> Alcotest.failf "%s r=%d: %s" name r e
+              | Ok b ->
+                  Prbp.Wire.encode_bracket
+                    {
+                      (Prbp.Wire.bracket_of ~family:name ~with_moves:true b)
+                      with
+                      Prbp.Wire.curve = [];
+                      elapsed_s = 0.;
+                    })
+            [ r0; r0 + 1 ])
+        [ `Rbp; `Prbp ])
+    (golden_dags ())
+
+let test_golden_certificates () =
+  check_golden "brackets_v1.jsonl" (golden_brackets ())
+
 let gen_dag =
   QCheck.make
     ~print:(fun (seed, layers, width) ->
@@ -214,8 +341,13 @@ let suite =
         case "certificates re-validate" test_certificates_revalidate;
         case "tight bracket pins OPT" test_tight_bracket;
         case "starved budget stays sound" test_starved_budget_stays_sound;
+        case "curve has one point per improvement"
+          test_curve_has_every_improvement;
+        case "expired deadline runs one base candidate"
+          test_expired_deadline_runs_one_candidate;
         case "deterministic without deadline" test_deterministic_without_deadline;
         case "json row" test_json_row;
+        case "certificates match the golden file" test_golden_certificates;
         prop_contains `Rbp "RBP";
         prop_contains `Prbp "PRBP";
       ] );

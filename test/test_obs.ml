@@ -649,6 +649,26 @@ let bracket_stage_spans () =
         (List.mem_assoc "outcome" b.Span.attrs)
   | _ -> Alcotest.fail "missing bracket/stage spans"
 
+(* the candidate spans show where the upper bound moved: on fft:16
+   PRBP r=4, belady, banded1 and banded2 each became the incumbent *)
+let bracket_improvement_spans () =
+  with_tracing @@ fun () ->
+  let g = (Prbp.Graphs.Fft.make ~m:16).Prbp.Graphs.Fft.dag in
+  (match Prbp.Bounds.Bracket.prbp ~r:4 g with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "bracket failed: %s" e);
+  let improved =
+    List.filter
+      (fun s -> List.assoc_opt "improved" s.Span.attrs = Some "true")
+      (Span.spans ())
+    |> List.sort (fun a b -> compare a.Span.id b.Span.id)
+  in
+  let attr s k = Option.value ~default:"?" (List.assoc_opt k s.Span.attrs) in
+  Alcotest.(check (list string))
+    "three improving candidates, with their verified costs"
+    [ "belady:160"; "banded1:120"; "banded2:112" ]
+    (List.map (fun s -> attr s "method" ^ ":" ^ attr s "cost") improved)
+
 let bracket_stage_metric () =
   with_metrics @@ fun () ->
   let h =
@@ -705,6 +725,8 @@ let suite =
           engine_solve_span;
         case "bracket: stage spans nest and sum within the run"
           bracket_stage_spans;
+        case "bracket: candidate spans mark each improvement"
+          bracket_improvement_spans;
         case "bracket: stage histogram observed per run" bracket_stage_metric;
       ] );
   ]

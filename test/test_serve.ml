@@ -136,6 +136,59 @@ let test_http_rejects () =
       check_err "body over cap"
         (Serve.Http.read_request ~max_body:4 server))
 
+(* a client that trickles its request one byte at a time is cut off
+   by the whole-request deadline, in the head or in the body, instead
+   of holding the reader until its last byte.  The fake clock advances
+   1 s per read, so the deadline passes after about
+   [request_deadline_s] reads; the writer would need 2000. *)
+let test_http_trickle_deadline () =
+  List.iter
+    (fun (what, prefix) ->
+      with_socketpair @@ fun client server ->
+      let stop = Atomic.make false in
+      let writer =
+        Domain.spawn (fun () ->
+            let raw = prefix ^ String.make 2000 'a' in
+            Unix.write_substring client prefix 0 (String.length prefix)
+            |> ignore;
+            let i = ref (String.length prefix) in
+            while (not (Atomic.get stop)) && !i < String.length raw do
+              ignore (Unix.write_substring client raw !i 1);
+              incr i;
+              Unix.sleepf 0.001
+            done;
+            (* end of input, so a reader without the deadline fails too *)
+            Unix.shutdown client Unix.SHUTDOWN_SEND;
+            !i - String.length prefix)
+      in
+      let t = ref 0. in
+      Prbp.Obs.Clock.set_source
+        (Some
+           (fun () ->
+             t := !t +. 1.;
+             !t));
+      let result =
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set stop true;
+            Prbp.Obs.Clock.set_source None)
+          (fun () -> Serve.Http.read_request server)
+      in
+      let sent = Domain.join writer in
+      (match result with
+      | Ok _ -> Alcotest.failf "%s: an unfinished request was accepted" what
+      | Error e ->
+          Alcotest.(check string)
+            (what ^ ": deadline error")
+            (Printf.sprintf "request not received within %.0f s"
+               Serve.Http.request_deadline_s)
+            e);
+      check_true (what ^ ": cut off long before the end") (sent < 2000))
+    [
+      ("head", "GET / HTTP/1.1\r\nX-Pad: ");
+      ("body", "POST / HTTP/1.1\r\nContent-Length: 2000\r\n\r\n");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Live server plumbing *)
 
@@ -376,7 +429,26 @@ let test_serve_bracket () =
   let second = post ~port "/v1/bracket" body in
   check_true "bracket hit"
     (List.assoc_opt "x-prbpd-cache" second.headers = Some "hit");
-  Alcotest.(check string) "bracket byte-identical" first.body second.body
+  Alcotest.(check string) "bracket byte-identical" first.body second.body;
+  (* streamed, every verified improvement arrives as a progress event
+     ahead of the certificate: on fft:16 PRBP r=4, belady, banded1 and
+     banded2 *)
+  let fft = (Prbp.Graphs.Fft.make ~m:16).Prbp.Graphs.Fft.dag in
+  let streamed =
+    post ~port "/v1/bracket"
+      (Wire.encode_request
+         (Wire.request ~stream:true ~kind:Wire.Bracket ~game:Wire.Prbp ~r:4
+            fft))
+  in
+  let uppers =
+    List.filter_map
+      (fun l ->
+        match Wire.decode_event l with
+        | Ok (Prbp.Solver.Telemetry.Progress p) -> p.Prbp.Solver.Telemetry.upper
+        | _ -> None)
+      (String.split_on_char '\n' streamed.body)
+  in
+  Alcotest.(check (list int)) "streamed improvements" [ 160; 120; 112 ] uppers
 
 let test_serve_deadline_maps_to_bounded () =
   with_server @@ fun port ->
@@ -743,5 +815,7 @@ let suite =
         slow_case "serve: concurrent traces stay disjoint"
           test_serve_trace_isolation;
         slow_case "serve: concurrent clients" test_serve_concurrent_clients;
+        case "http: a trickling client misses the request deadline"
+          test_http_trickle_deadline;
       ] );
   ]

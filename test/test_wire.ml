@@ -800,11 +800,6 @@ let golden_records () =
     Wire.encode_error ~code:"invalid-argument" "p \"too\" large";
   ]
 
-let read_lines path =
-  In_channel.with_open_bin path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
-
 (* Each body is one malformed field away from a valid one; [valid]
    holds the unmodified bodies, so a rejection is never an accident of
    the template. *)
@@ -867,19 +862,7 @@ let valid, malformed =
     ] )
 
 let test_golden_bytes () =
-  let fresh = golden_records () in
-  let golden =
-    (* next to the test binary, where the dune rule copies it *)
-    read_lines
-      (Filename.concat
-         (Filename.dirname Sys.executable_name)
-         "golden/wire_v1.jsonl")
-  in
-  check_int "record count" (List.length golden) (List.length fresh);
-  List.iteri
-    (fun i (want, got) ->
-      Alcotest.(check string) (Printf.sprintf "line %d" (i + 1)) want got)
-    (List.combine golden fresh);
+  check_golden "wire_v1.jsonl" (golden_records ());
   let rejected = function
     | `Request s -> Result.is_error (Wire.decode_request s)
     | `Outcome s -> Result.is_error (Wire.decode_outcome s)
@@ -949,6 +932,36 @@ let test_hash_ignores_names () =
   Alcotest.(check string)
     "names/family never hash" (Dag.hash bare) (Dag.hash named)
 
+(* [jsonl] flushes each line as it writes it, so a reader sees every
+   event before the emitter stops: here a [Prune] and a [Start] are
+   readable from the pipe with no [Stop] and no explicit flush. *)
+let test_jsonl_flushes_each_event () =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  let oc = Unix.out_channel_of_descr wr in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr oc;
+      Unix.close rd)
+    (fun () ->
+      let sink = Wire.jsonl oc in
+      let events =
+        Prbp.Solver.Telemetry.
+          [ Prune { pruned = 3 }; Start { width = 2; max_states = 10 } ]
+      in
+      List.iter
+        (fun ev ->
+          sink.Prbp.Solver.Telemetry.emit ev;
+          let want = Wire.encode_event ev ^ "\n" in
+          let got = Bytes.create (String.length want) in
+          (match Unix.select [ rd ] [] [] 1.0 with
+          | [ _ ], _, _ -> ()
+          | _ -> Alcotest.fail "event not flushed to the reader");
+          let n = Unix.read rd got 0 (Bytes.length got) in
+          Alcotest.(check string)
+            "one line per event" want
+            (Bytes.sub_string got 0 n))
+        events)
+
 let suite =
   [
     ( "wire",
@@ -973,5 +986,6 @@ let suite =
         hash_structure_sensitive;
         case "hash is byte-stable" test_hash_stable;
         case "hash ignores names" test_hash_ignores_names;
+        case "jsonl flushes each event" test_jsonl_flushes_each_event;
       ] );
   ]
