@@ -1,16 +1,18 @@
-(* Benchmark & experiment harness: regenerates every quantitative claim
-   of the paper (one experiment per proposition / theorem / figure),
-   then runs the solver throughput benchmark and Bechamel
-   micro-benchmarks of the library.
+(* Experiment harness: regenerates every quantitative claim of the
+   paper (one experiment per proposition / theorem / figure), then
+   rewrites the certified-width baseline BENCH_solver.json (Perf).
+   Timings are measured by the benchmark under benchmark/.
 
-     dune exec bench/main.exe               # everything
-     dune exec bench/main.exe -- --no-perf  # experiments only
-     dune exec bench/main.exe -- --perf     # benchmarks only
-     dune exec bench/main.exe -- E03 E08    # a subset of experiments
-     dune exec bench/main.exe -- -j 4       # 4 worker domains
-     dune exec bench/main.exe -- --profile  # span-tree timing summary
+     dune exec bench/main.exe                     # everything
+     dune exec bench/main.exe -- --no-perf        # experiments only
+     dune exec bench/main.exe -- --perf           # width baseline only
+     dune exec bench/main.exe -- --check-widths   # gate vs the baseline
+     dune exec bench/main.exe -- E03 E08          # a subset of experiments
+     dune exec bench/main.exe -- -j 4             # 4 worker domains
+     dune exec bench/main.exe -- --profile        # span-tree timing summary
      dune exec bench/main.exe -- --profile-out trace.json --metrics-out m.prom
-     dune exec bench/main.exe -- --serve    # prbpd load generator only  *)
+
+   An unknown experiment id is a usage error (exit 2). *)
 
 let experiments =
   Exp_fundamentals.all @ Exp_partitions.all @ Exp_bounds.all
@@ -21,7 +23,7 @@ let default_jobs = min 8 (Domain.recommended_domain_count ())
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--perf|--no-perf] [--check-widths] [--serve] [-j N] \
+    "usage: main.exe [--perf|--no-perf] [--check-widths] [-j N] \
      [--profile] [--profile-out FILE] [--metrics-out FILE] \
      [EXPERIMENT_ID ...]";
   exit 2
@@ -31,11 +33,7 @@ let () =
   let perf_only = ref false in
   let no_perf = ref false in
   let check_widths = ref false in
-  let serve = ref false in
   let jobs = ref default_jobs in
-  (* perf's parallel section (and its minutes-long huge case) only runs
-     on an explicit -j N, never from the host-core default *)
-  let jobs_set = ref false in
   let profile = ref false in
   let profile_out = ref None in
   let metrics_out = ref None in
@@ -51,9 +49,6 @@ let () =
     | "--check-widths" :: rest ->
         check_widths := true;
         parse rest
-    | "--serve" :: rest ->
-        serve := true;
-        parse rest
     | "--profile" :: rest ->
         profile := true;
         parse rest
@@ -67,20 +62,22 @@ let () =
         match int_of_string_opt n with
         | Some n when n >= 1 ->
             jobs := n;
-            jobs_set := true;
             parse rest
         | _ -> usage ())
     | a :: rest when String.length a > 2 && String.sub a 0 2 = "-j" -> (
         match int_of_string_opt (String.sub a 2 (String.length a - 2)) with
         | Some n when n >= 1 ->
             jobs := n;
-            jobs_set := true;
             parse rest
         | _ -> usage ())
     | a :: _ when String.length a > 1 && a.[0] = '-' -> usage ()
-    | a :: rest ->
+    | a :: rest when List.exists (fun e -> e.Prbp.Experiment.id = a) experiments
+      ->
         ids := a :: !ids;
         parse rest
+    | a :: _ ->
+        prerr_endline ("main.exe: unknown experiment id " ^ a);
+        usage ()
   in
   parse args;
   let ids = List.rev !ids in
@@ -102,13 +99,6 @@ let () =
     Format.pp_print_flush ppf ();
     exit code
   end;
-  if !serve then begin
-    (* the prbpd load generator is also its own mode: it boots the
-       daemon in-process and patches BENCH_solver.json's serve field *)
-    let code = Exp_serve.run ppf in
-    Format.pp_print_flush ppf ();
-    exit code
-  end;
   if not !perf_only then begin
     let selected =
       match ids with
@@ -119,10 +109,7 @@ let () =
     let confirmed, total = Prbp.Experiment.run_all ~jobs:!jobs ppf selected in
     if confirmed <> total then exit 1
   end;
-  if not !no_perf then begin
-    Perf.run_solver ~jobs:(if !jobs_set then !jobs else 1) ppf;
-    Perf.run ppf
-  end;
+  let perf_code = if !no_perf then 0 else Perf.run ppf in
   (* exports last, so they cover experiments and benchmarks alike *)
   let write path s =
     let oc = open_out path in
@@ -134,4 +121,5 @@ let () =
   if !profile then
     Format.fprintf ppf "@.=== PROFILE — span tree ===@.@.%s@."
       (Prbp.Obs.Span.to_text ());
-  Format.pp_print_flush ppf ()
+  Format.pp_print_flush ppf ();
+  exit perf_code

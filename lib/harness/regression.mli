@@ -13,11 +13,15 @@
 
     {b Schema history.}  [BENCH_solver.json] schema
     ["prbp-solver-bench/v9"] adds the ["frontiers"] array; a v8 file
-    has none and yields an empty frontier baseline.  Schema v10
-    ([{!Prbp_wire.Wire.bench_schema}]) adds a ["curve"] to each
+    has none and yields an empty frontier baseline, which
+    [--check-widths] refuses.  Schema v10 adds a ["curve"] to each
     bracket row; the curve gate below ({!check_curve}) is
     {e structural} — monotonicity and final-point agreement — because
-    timing-comparative curve baselines would flake in CI. *)
+    timing-comparative curve baselines would flake in CI.  Schema v11
+    ({!Prbp_wire.Wire.bench_schema}) keeps only ["schema"],
+    ["brackets"] and ["frontiers"], dropping the single-shot solver rows
+    and the ["convergence"] summary; this module reads only the two
+    arrays, so v9–v11 files all decode. *)
 
 type baseline = {
   brackets : Prbp_wire.Wire.bracket list;  (** the ["brackets"] rows *)

@@ -15,8 +15,9 @@ module Frontier = Prbp_frontier.Frontier
 let version = 1
 
 (* the BENCH_solver.json schema this wire release pairs with; bumped
-   whenever the row format gains fields the regression gate compares *)
-let bench_schema = "prbp-solver-bench/v10"
+   whenever the file's members or the row format the width gate reads
+   change *)
+let bench_schema = "prbp-solver-bench/v11"
 
 (* ------------------------------------------------------------------ *)
 (* The codec.  Every record below is declared once, as an encoder and

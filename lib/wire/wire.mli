@@ -1,6 +1,6 @@
 (** The versioned wire schema ([{"v":1}]) shared by every JSON emitter
     and consumer in the system: [pebble_cli --json]/[--trace], the
-    [prbpd] daemon, the bench load generator, and the bracket and
+    [prbpd] daemon, the benchmark's serve workloads, and the bracket and
     frontier rows of [BENCH_solver.json] (read back by
     {!Prbp_harness.Regression}) all speak exactly these records.
 
@@ -35,9 +35,11 @@ val version : int
     versions with a distinct error message. *)
 
 val bench_schema : string
-(** ["prbp-solver-bench/v10"] — the [BENCH_solver.json] schema tag this
-    wire release pairs with.  Single-sourced here so the bench writer,
-    the regression gate and the daemon's [/healthz] body can never
+(** ["prbp-solver-bench/v11"] — the [BENCH_solver.json] schema tag this
+    wire release pairs with.  Since v11 the file holds exactly
+    ["schema"], ["brackets"] and ["frontiers"]: the rows the width gate
+    ([bench/main.exe --check-widths]) reads.  Single-sourced here so
+    the bench writer and the daemon's [/healthz] body can never
     disagree. *)
 
 (** {1 Vocabulary} *)

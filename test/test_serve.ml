@@ -764,33 +764,112 @@ let test_serve_trace_isolation () =
            ss))
     entries
 
+(* A mix of 12 distinct cache keys: solves and brackets, RBP and PRBP,
+   every one asking for its certificate.  RBP items keep r above the
+   feasibility threshold (max in-degree + 1); PRBP has no such floor. *)
+type mix_item = {
+  path : string;
+  body : string;
+  dag : Dag.t;
+  game : Wire.game;
+  r : int;
+}
+
+let serve_mix () =
+  let chain = Dag.make ~n:6 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5) ] in
+  let tree = (Prbp.Graphs.Tree.make ~k:2 ~depth:3).Prbp.Graphs.Tree.dag in
+  let rand seed =
+    Prbp.Graphs.Random_dag.make ~seed ~max_in_degree:2 ~layers:3 ~width:3 ()
+  in
+  let item kind path game r dag =
+    let body =
+      Wire.encode_request (Wire.request ~want_strategy:true ~kind ~game ~r dag)
+    in
+    { path; body; dag; game; r }
+  in
+  let solve = item Wire.Solve "/v1/solve" in
+  let bracket = item Wire.Bracket "/v1/bracket" in
+  let diamond = Dag.make ~n:4 diamond_edges in
+  [
+    solve Wire.Rbp 3 diamond; solve Wire.Prbp 2 diamond;
+    solve Wire.Rbp 2 chain; solve Wire.Prbp 2 chain;
+    solve Wire.Rbp 3 tree; solve Wire.Prbp 3 tree;
+    solve Wire.Prbp 3 (rand 1); solve Wire.Rbp 3 (rand 2);
+    bracket Wire.Rbp 3 diamond; bracket Wire.Prbp 2 tree;
+    bracket Wire.Prbp 3 (rand 3); bracket Wire.Rbp 4 (rand 4);
+  ]
+
+(* The served certificate replays through the literal checker at the
+   cost the reply claims. *)
+let check_certificate item body =
+  let replay = function
+    | Some (Wire.Rbp_strategy moves) when item.game = Wire.Rbp ->
+        rbp_cost ~r:item.r item.dag moves
+    | Some (Wire.Prbp_strategy moves) when item.game = Wire.Prbp ->
+        prbp_cost ~r:item.r item.dag moves
+    | _ ->
+        Alcotest.failf "%s: no %s certificate served" item.path
+          (Wire.game_label item.game)
+  in
+  if item.path = "/v1/solve" then
+    match Wire.decode_outcome body with
+    | Error e -> Alcotest.failf "outcome decode: %s" e
+    | Ok o ->
+        check_true "solve is optimal" (o.Wire.status = `Optimal);
+        check_int "solve certificate replays at its cost"
+          (Option.get o.Wire.upper) (replay o.Wire.strategy)
+  else
+    match Wire.decode_bracket body with
+    | Error e -> Alcotest.failf "bracket decode: %s" e
+    | Ok b ->
+        check_int "bracket certificate replays at its upper bound"
+          b.Wire.upper (replay b.Wire.strategy)
+
 let test_serve_concurrent_clients () =
   with_server ~workers:4 ~queue:64 @@ fun port ->
-  let solve = solve_body ~r:2 ~want_strategy:true diamond_edges 4 in
-  let bracket =
-    Wire.encode_request
-      (Wire.request ~kind:Wire.Bracket ~game:Wire.Rbp ~r:3
-         (Dag.make ~n:4 diamond_edges))
+  let items = Array.of_list (serve_mix ()) in
+  (* one miss per item primes the cache with a replayed certificate *)
+  let primed =
+    Array.map
+      (fun item ->
+        let reply = post ~port item.path item.body in
+        check_int "prime status" 200 reply.status;
+        check_true "priming is a miss"
+          (List.assoc_opt "x-prbpd-cache" reply.headers = Some "miss");
+        check_certificate item reply.body;
+        reply.body)
+      items
   in
-  (* prime the cache so the stress mix exercises the hit path too *)
-  check_int "prime solve" 200 (post ~port "/v1/solve" solve).status;
-  check_int "prime bracket" 200 (post ~port "/v1/bracket" bracket).status;
+  (* 16 clients x 75 requests, cycling through the mix: every reply a
+     200 hit, byte for byte the certificate its priming reply served *)
+  let per_client = 75 in
   let clients =
-    Array.init 16 (fun i ->
+    Array.init 16 (fun c ->
         Domain.spawn (fun () ->
-            let path, body =
-              if i mod 2 = 0 then ("/v1/solve", solve)
-              else ("/v1/bracket", bracket)
-            in
-            let ok = ref 0 in
-            for _ = 1 to 8 do
-              let reply = post ~port path body in
-              if reply.status = 200 then incr ok
+            let bad = ref [] in
+            for i = 0 to per_client - 1 do
+              let k = (c + i) mod Array.length items in
+              let reply = post ~port items.(k).path items.(k).body in
+              let cache = List.assoc_opt "x-prbpd-cache" reply.headers in
+              if
+                reply.status <> 200 || cache <> Some "hit"
+                || reply.body <> primed.(k)
+              then
+                bad :=
+                  Printf.sprintf "%s item %d: status %d, cache %s"
+                    items.(k).path k reply.status
+                    (Option.value cache ~default:"-")
+                  :: !bad
             done;
-            !ok))
+            List.rev !bad))
   in
-  let total = Array.fold_left (fun acc d -> acc + Domain.join d) 0 clients in
-  check_int "every concurrent request answered 200" (16 * 8) total
+  match Array.to_list clients |> List.concat_map Domain.join with
+  | [] -> ()
+  | first :: _ as bad ->
+      Alcotest.failf
+        "%d of %d replies were not a 200 hit byte-identical to its priming \
+         reply; first: %s"
+        (List.length bad) (16 * per_client) first
 
 let suite =
   [

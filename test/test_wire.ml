@@ -915,11 +915,49 @@ let hash_structure_sensitive =
           Dag.hash g <> Dag.hash g')
 
 let test_hash_stable () =
-  (* byte-stability across runs and processes: a pinned digest (the
-     cache key must outlive the process that wrote the entry) *)
-  let g = Prbp.Graphs.Basic.diamond () in
+  (* byte-stability across runs and processes: pinned digests (the
+     cache key must outlive the process that wrote the entry).  fig1's
+     equals the dag_hash in golden/frontier_fig1.json; matmul:3:3:3 is
+     small but exhausts the canonical search's branch budget, so its
+     digest pins the fallback labeling too. *)
+  let fft m = (Prbp.Graphs.Fft.make ~m).Prbp.Graphs.Fft.dag in
+  let matmul333 =
+    (Prbp.Graphs.Matmul.make ~m1:3 ~m2:3 ~m3:3).Prbp.Graphs.Matmul.dag
+  in
+  List.iter
+    (fun (name, want, g) ->
+      Alcotest.(check string) (name ^ " digest") want (Dag.hash g))
+    [
+      ("diamond", "669b7da3d2ca5f29dced286fd4dc6839",
+       Prbp.Graphs.Basic.diamond ());
+      ("fig1", "0f1d142ddfe708ef878f010881f4a09f",
+       fst (Prbp.Graphs.Fig1.full ()));
+      ("tree(2,3)", "ebdf86d8f299f8acfe74480a49221433",
+       (Prbp.Graphs.Tree.make ~k:2 ~depth:3).Prbp.Graphs.Tree.dag);
+      ("pyramid(5)", "a4d2d10ca96bd604831356aacc75a961",
+       Prbp.Graphs.Basic.pyramid 5);
+      ("fft:16", "ff1a0bb58459679ab4a20183861bec8b", fft 16);
+      ("fft:32", "8da763c57f977c477e4bf14d655c3018", fft 32);
+      ("matmul:3:3:3", "58ecb702d3fb9b64445b5606ad4de2ac", matmul333);
+      ("random(seed1,4x4)", "e33a25c70160e741b64e0241d3d15106",
+       Prbp.Graphs.Random_dag.make ~seed:1 ~layers:4 ~width:4 ());
+      ("random(seed2,5x3,din3)", "2fe2592cd0c84f132a1b6188d2f56fc2",
+       Prbp.Graphs.Random_dag.make ~seed:2 ~max_in_degree:3 ~layers:5
+         ~width:3 ());
+    ];
+  (* the labeling itself, not only the digest of the edges it yields *)
+  let order_md5 g =
+    Dag.canonical_order g |> Array.to_list
+    |> List.map string_of_int |> String.concat "," |> Digest.string
+    |> Digest.to_hex
+  in
   Alcotest.(check string)
-    "diamond digest" "669b7da3d2ca5f29dced286fd4dc6839" (Dag.hash g);
+    "fft:16 canonical order" "8c91be1eb0e3768b2e27daa8d76a530f"
+    (order_md5 (fft 16));
+  Alcotest.(check string)
+    "matmul:3:3:3 canonical order" "5b072baae83229abbf49a3f9f6434530"
+    (order_md5 matmul333);
+  let g = Prbp.Graphs.Basic.diamond () in
   Alcotest.(check string) "repeatable" (Dag.hash g) (Dag.hash g);
   check_int "digest width" 32 (String.length (Dag.hash g))
 
