@@ -194,6 +194,26 @@ let game_arg =
            (pebbling number, no I/O), or $(b,multi:P) (exact RBP-MC and \
            PRBP-MC with $(i,P) processors).")
 
+(* --rules: names from the lower-bound registry; an unknown one is a
+   usage error (exit 124) whose message lists the registry *)
+let rule_conv =
+  let parse n =
+    let known = Prbp.Bounds.Lower.names () in
+    if List.mem n known then Ok n
+    else
+      Error
+        (`Msg
+          (Printf.sprintf "unknown lower rule %S (registered: %s)" n
+             (String.concat ", " known)))
+  in
+  Arg.conv (parse, Fmt.string)
+
+let rules_arg ~doc =
+  Arg.(
+    value
+    & opt (some (list rule_conv)) None
+    & info [ "rules" ] ~docv:"NAMES" ~doc)
+
 (* ------------------------------------------------------------------ *)
 
 (* Commands with no notion of a truncated solve always exit 0; [solve]
@@ -671,17 +691,6 @@ let bracket_cmd =
     let telemetry =
       if trace then Some (Prbp.Wire.jsonl ~every:1000 stderr) else None
     in
-    (match rules with
-    | None -> ()
-    | Some names ->
-        let known = Prbp.Bounds.Lower.names () in
-        List.iter
-          (fun n ->
-            if not (List.mem n known) then
-              failwith
-                (Printf.sprintf "unknown lower rule %S (registered: %s)" n
-                   (String.concat ", " known)))
-          names);
     let module Bracket = Prbp.Bounds.Bracket in
     let module Segment = Prbp.Bounds.Segment in
     let not_tight = ref false in
@@ -745,14 +754,11 @@ let bracket_cmd =
              lower- and upper-bound portfolios).")
   in
   let rules =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "rules" ] ~docv:"NAMES"
-          ~doc:
-            "Comma-separated lower-bound rule names to run (default: every \
-             registered rule).  Unknown names are an error; the message \
-             lists the registry.")
+    rules_arg
+      ~doc:
+        "Comma-separated lower-bound rule names to run (default: every \
+         registered rule).  Unknown names are a usage error; the message \
+         lists the registry."
   in
   let json =
     Arg.(
@@ -791,17 +797,6 @@ let frontier_cmd =
     let module F = Prbp.Frontier.Frontier in
     let g = build family in
     let game, p = fgame in
-    (match rules with
-    | None -> ()
-    | Some names ->
-        let known = Prbp.Bounds.Lower.names () in
-        List.iter
-          (fun n ->
-            if not (List.mem n known) then
-              failwith
-                (Printf.sprintf "unknown lower rule %S (registered: %s)" n
-                   (String.concat ", " known)))
-          names);
     let budget = Prbp.Solver.Budget.v ~max_states ?max_millis:deadline () in
     match comm_cap with
     | Some comm_cap -> (
@@ -964,13 +959,10 @@ let frontier_cmd =
           ~doc:"Parallel search domains per exact probe.")
   in
   let rules =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "rules" ] ~docv:"NAMES"
-          ~doc:
-            "Comma-separated lower-bound rule names for bracketed points \
-             (default: every registered rule).")
+    rules_arg
+      ~doc:
+        "Comma-separated lower-bound rule names for bracketed points \
+         (default: every registered rule)."
   in
   let json =
     Arg.(

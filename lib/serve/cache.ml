@@ -15,8 +15,6 @@ type 'a t = {
   capacity : int;
   mutable head : 'a node option;
   mutable tail : 'a node option;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ~capacity =
@@ -27,8 +25,6 @@ let create ~capacity =
     capacity;
     head = None;
     tail = None;
-    hits = 0;
-    misses = 0;
   }
 
 let unlink t node =
@@ -54,13 +50,10 @@ let find t key =
   locked t @@ fun () ->
   match Hashtbl.find_opt t.table key with
   | Some node ->
-      t.hits <- t.hits + 1;
       unlink t node;
       push_front t node;
       Some node.value
-  | None ->
-      t.misses <- t.misses + 1;
-      None
+  | None -> None
 
 let add t key value =
   locked t @@ fun () ->
@@ -89,7 +82,3 @@ let remove t key =
   | None -> ()
 
 let length t = locked t @@ fun () -> Hashtbl.length t.table
-
-let hits t = locked t @@ fun () -> t.hits
-
-let misses t = locked t @@ fun () -> t.misses

@@ -27,8 +27,3 @@ val remove : 'a t -> string -> unit
 (** Drop an entry (e.g. one whose certificate failed re-verification). *)
 
 val length : 'a t -> int
-
-val hits : 'a t -> int
-(** {!find}s that returned an entry, over the cache's lifetime. *)
-
-val misses : 'a t -> int

@@ -144,11 +144,68 @@ let note_cache c = (Domain.DLS.get info_key).ri_cache <- c
 
 let note_outcome o = (Domain.DLS.get info_key).ri_outcome <- o
 
-let outcome_tag (o : Wire.outcome) =
-  match o.Wire.status with
-  | `Optimal -> "optimal"
-  | `Bounded -> "bounded"
-  | `Unsolvable -> "unsolvable"
+(* ------------------------------------------------------------------ *)
+(* Certificates.  Solves, brackets and frontiers share one path
+   ([handle_certificate]).  Besides the request check and compute
+   dispatch in [plan], these few functions over a cached entry are all
+   that tells the kinds apart. *)
+
+let map_strategies f = function
+  | Solve_cert o -> Solve_cert { o with Wire.strategy = f o.Wire.strategy }
+  | Bracket_cert b -> Bracket_cert { b with Wire.strategy = f b.Wire.strategy }
+  | Frontier_cert fr ->
+      Frontier_cert
+        {
+          fr with
+          Wire.points =
+            List.map
+              (fun (pt : Wire.frontier_point) ->
+                { pt with Wire.strategy = f pt.Wire.strategy })
+              fr.Wire.points;
+        }
+
+(* The certificates an entry carries, as (r, strategy, claimed cost).
+   A solve or bracket always lists its one strategy, so without it the
+   entry certifies nothing; a frontier lists each point that carries a
+   witness. *)
+let witnesses = function
+  | Solve_cert o ->
+      let claimed =
+        match o.Wire.status with
+        | `Optimal -> Some o.Wire.lower
+        | `Bounded -> o.Wire.upper
+        | `Unsolvable -> None
+      in
+      [ (o.Wire.r, o.Wire.strategy, claimed) ]
+  | Bracket_cert b -> [ (b.Wire.r, b.Wire.strategy, Some b.Wire.upper) ]
+  | Frontier_cert f ->
+      List.filter_map
+        (fun (pt : Wire.frontier_point) ->
+          Option.map
+            (fun s -> (pt.Wire.r, Some s, pt.Wire.comm_upper))
+            pt.Wire.strategy)
+        f.Wire.points
+
+(* proven results are budget-independent; truncated ones are only
+   reusable under a comparable budget *)
+let final = function
+  | Solve_cert o -> o.Wire.status = `Optimal
+  | Bracket_cert b -> b.Wire.tight
+  | Frontier_cert f -> not f.Wire.exhausted
+
+let outcome_tag = function
+  | Solve_cert o -> (
+      match o.Wire.status with
+      | `Optimal -> "optimal"
+      | `Bounded -> "bounded"
+      | `Unsolvable -> "unsolvable")
+  | Bracket_cert b -> if b.Wire.tight then "optimal" else "bounded"
+  | Frontier_cert f -> if f.Wire.exhausted then "open" else "settled"
+
+let encode = function
+  | Solve_cert o -> Wire.encode_outcome o
+  | Bracket_cert b -> Wire.encode_bracket b
+  | Frontier_cert f -> Wire.encode_frontier f
 
 (* ------------------------------------------------------------------ *)
 (* Canonical label space: cache entries store strategies under the
@@ -194,12 +251,20 @@ let inverse perm =
   Array.iteri (fun v c -> inv.(c) <- v) perm;
   inv
 
+(* every strategy of the entry through one permutation, computed only
+   when the entry carries a strategy *)
+let relabel perm_of e =
+  match witnesses e with
+  | [] -> e
+  | _ :: _ ->
+      let perm = perm_of () in
+      map_strategies (Option.map (permute_strategy perm)) e
+
 (* to canonical space: request node v |-> canonical_order.(v) *)
-let to_canonical g strategy = permute_strategy (Dag.canonical_order g) strategy
+let to_canonical g = relabel (fun () -> Dag.canonical_order g)
 
 (* back to the labels of (a possibly different relabeling of) the DAG *)
-let of_canonical g strategy =
-  permute_strategy (inverse (Dag.canonical_order g)) strategy
+let of_canonical g = relabel (fun () -> inverse (Dag.canonical_order g))
 
 (* ------------------------------------------------------------------ *)
 (* Cache keys *)
@@ -210,19 +275,26 @@ let variants_tag (v : Wire.variants) =
     (if v.recompute then 'c' else '-')
     (if v.no_delete then 'd' else '-')
 
-let cache_key ~kind ~budget_part (rq : Wire.request) ~dag_hash =
+let frontier_rs (rq : Wire.request) =
+  match rq.rs with
+  | Some rs when rs <> [] -> List.sort_uniq compare rs
+  | _ -> [ rq.r ]
+
+(* the swept capacities are part of the identity of a frontier, so
+   they join the kind *)
+let cache_key (rq : Wire.request) ~dag_hash budget_part =
+  let kind =
+    match rq.kind with
+    | Wire.Solve -> "solve"
+    | Wire.Bracket -> "bracket"
+    | Wire.Frontier ->
+        "frontier:" ^ String.concat "," (List.map string_of_int (frontier_rs rq))
+  in
   String.concat "|"
     [
       kind; dag_hash; Wire.game_label rq.game; string_of_int rq.r;
       variants_tag rq.variants; budget_part;
     ]
-
-(* proven results are budget-independent; truncated ones are only
-   reusable under a comparable budget *)
-let final_key = cache_key ~budget_part:"final"
-
-let budget_key (rq : Wire.request) =
-  cache_key ~budget_part:(Wire.budget_class rq.budget) rq
 
 (* ------------------------------------------------------------------ *)
 (* Re-verification: a cached certificate is replayed through the
@@ -249,30 +321,14 @@ let checked_cost ~(rq : Wire.request) g strategy =
       let cfg = Multi.config ~p ~r () in
       match Multi.P.check cfg g moves with Ok c -> Some c | Error _ -> None)
 
-let verify_solve_entry ~rq g (o : Wire.outcome) =
-  match (o.strategy, o.status) with
-  | None, _ | _, `Unsolvable -> None
-  | Some canon_strategy, status -> (
-      let strategy = of_canonical g canon_strategy in
-      match checked_cost ~rq g strategy with
-      | None -> None
-      | Some cost -> (
-          match status with
-          | `Optimal when cost = o.lower ->
-              Some { o with Wire.strategy = Some strategy }
-          | `Bounded when Some cost = o.upper ->
-              Some { o with Wire.strategy = Some strategy }
-          | _ -> None))
-
-let verify_bracket_entry ~rq g (b : Wire.bracket) =
-  match b.strategy with
-  | None -> None
-  | Some canon_strategy -> (
-      let strategy = of_canonical g canon_strategy in
-      match checked_cost ~rq g strategy with
-      | Some cost when cost = b.upper ->
-          Some { b with Wire.strategy = Some strategy }
-      | _ -> None)
+(* every witness replays at exactly its claimed cost *)
+let replays ~(rq : Wire.request) g e =
+  List.for_all
+    (fun (r, strategy, claimed) ->
+      match (strategy, claimed) with
+      | Some s, Some cost -> checked_cost ~rq:{ rq with Wire.r } g s = Some cost
+      | _ -> false)
+    (witnesses e)
 
 (* ------------------------------------------------------------------ *)
 (* Request handling *)
@@ -303,17 +359,6 @@ let budget_of state (rq : Wire.request) =
       Solver.Budget.v ~max_states ~max_millis ~max_words:w ()
   | _ -> Solver.Budget.v ~max_states ~max_millis ()
 
-(* chunked telemetry stream, or a plain single-object response *)
-let deliver ~(rq : Wire.request) ~cache_status fd body =
-  note_cache cache_status;
-  let headers = [ ("x-prbpd-cache", cache_status) ] in
-  if rq.stream then begin
-    Http.write_chunk fd body;
-    Http.write_chunk fd "\n";
-    Http.write_chunk_end fd
-  end
-  else respond_json ~headers ~status:200 fd body
-
 let stream_head ~(rq : Wire.request) ~cache_status fd =
   if rq.stream then begin
     note_status 200;
@@ -326,6 +371,16 @@ let stream_head ~(rq : Wire.request) ~cache_status fd =
       ~status:200 fd
   end
 
+(* the final line of a chunked stream, or a plain single-object
+   response *)
+let finish ~(rq : Wire.request) ?headers ~status fd body =
+  if rq.stream then begin
+    Http.write_chunk fd body;
+    Http.write_chunk fd "\n";
+    Http.write_chunk_end fd
+  end
+  else respond_json ?headers ~status fd body
+
 let solve_telemetry ~(rq : Wire.request) fd =
   if rq.stream then
     Some
@@ -334,387 +389,181 @@ let solve_telemetry ~(rq : Wire.request) fd =
            Http.write_chunk fd "\n"))
   else None
 
-(* strip what the client did not ask for — the cache always carries
-   the strategy (it IS the certificate), responses only on request *)
-let client_view (rq : Wire.request) (o : Wire.outcome) =
-  if rq.want_strategy then o else { o with Wire.strategy = None }
-
-(* Exact_multi's structural preconditions, checked before any response
-   bytes are written: violations get a structured 4xx (code
-   "invalid-argument") instead of an [Invalid_argument] escaping
-   mid-stream. *)
-let multi_precheck (rq : Wire.request) =
-  let g = rq.dag in
-  let common p =
-    if p < 1 || p > 8 then
-      Error
-        (Printf.sprintf "multiprocessor games support 1..8 processors, got %d"
-           p)
-    else if Dag.n_nodes g > 62 then
-      Error
+(* How a request computes its certificate on a miss, or why it is
+   refused: misuse gets [Error (code, message)] before the cache is
+   touched or a byte is written.  The computation itself runs after
+   the chunked head, so what it raises ends the stream. *)
+let plan state (rq : Wire.request) fd =
+  let g = rq.dag and r = rq.r in
+  let budget = budget_of state rq and telemetry = solve_telemetry ~rq fd in
+  let { Wire.sliding; recompute; no_delete } = rq.variants in
+  let invalid msg = Error (Some "invalid-argument", msg) in
+  (* the four exact-solve games: always solve with the strategy on (it
+     is the certificate that makes the outcome cacheable and
+     re-verifiable), and tee the telemetry through a convergence
+     recorder so the served outcome carries its curve *)
+  let exact wrap solve () =
+    let conv, sink = Solver.Convergence.recorder ?telemetry () in
+    let oc = solve ~telemetry:sink in
+    let strategy =
+      match oc with
+      | Solver.Optimal { strategy = Some ms; _ }
+      | Solver.Bounded { incumbent_strategy = Some ms; _ } ->
+          Some (wrap ms)
+      | _ -> None
+    in
+    Ok
+      (Solve_cert
+         (Wire.outcome_of ~game:rq.game ~r ~variants:rq.variants ?strategy
+            ~curve:(Solver.Convergence.curve conv) ~dag:g oc))
+  in
+  match (rq.kind, rq.game) with
+  | Wire.Solve, (Wire.Multi_rbp p | Wire.Multi_prbp p) when p < 1 || p > 8 ->
+      invalid
+        (Printf.sprintf "multiprocessor games support 1..8 processors, got %d" p)
+  | Wire.Solve, (Wire.Multi_rbp _ | Wire.Multi_prbp _) when Dag.n_nodes g > 62
+    ->
+      invalid
         (Printf.sprintf "multiprocessor exact solves cap at 62 nodes, got %d"
            (Dag.n_nodes g))
-    else if rq.variants <> Wire.no_variants then
-      Error "multiprocessor games take no variant flags"
-    else Ok ()
-  in
-  match rq.game with
-  | Wire.Multi_rbp p -> common p
-  | Wire.Multi_prbp p -> (
-      match common p with
-      | Error _ as e -> e
-      | Ok () ->
-          if Dag.n_edges g > 62 then
-            Error
-              (Printf.sprintf
-                 "multiprocessor prbp exact solves cap at 62 edges, got %d"
-                 (Dag.n_edges g))
-          else Ok ())
-  | Wire.Rbp | Wire.Prbp | Wire.Black -> Ok ()
-
-let handle_solve_checked state (rq : Wire.request) fd =
-  let g = rq.dag in
-  let dag_hash = Dag.hash g in
-  let fkey = final_key ~kind:"solve" rq ~dag_hash in
-  let bkey = budget_key ~kind:"solve" rq ~dag_hash in
-  let cached =
-    match Cache.find state.cache fkey with
-    | Some (Solve_cert o) -> Some (fkey, o)
-    | _ -> (
-        match Cache.find state.cache bkey with
-        | Some (Solve_cert o) -> Some (bkey, o)
-        | _ -> None)
-  in
-  let verified =
-    Option.bind cached (fun (key, o) ->
-        match verify_solve_entry ~rq g o with
-        | Some o -> Some o
-        | None ->
-            (* certificate no longer checks out: drop, re-solve *)
-            Cache.remove state.cache key;
-            None)
-  in
-  match verified with
-  | Some o ->
-      Metrics.Counter.incr state.cache_hits;
-      note_outcome (outcome_tag o);
-      stream_head ~rq ~cache_status:"hit" fd;
-      deliver ~rq ~cache_status:"hit" fd
-        (Wire.encode_outcome (client_view rq o))
-  | None ->
-      Metrics.Counter.incr state.cache_misses;
-      stream_head ~rq ~cache_status:"miss" fd;
-      let budget = budget_of state rq in
-      let conv, telemetry =
-        (* tee the solver's telemetry through a convergence recorder so
-           the served outcome carries its curve; the client's stream
-           (when requested) still sees every event *)
-        let r, sink = Solver.Convergence.recorder ?telemetry:(solve_telemetry ~rq fd) () in
-        (r, Some sink)
-      in
-      let { Wire.sliding; recompute; no_delete } = rq.variants in
-      let r = rq.r in
-      (* always solve with the strategy on: it is the certificate that
-         makes the outcome cacheable and re-verifiable *)
-      let outcome =
-        match rq.game with
-        | Wire.Rbp ->
-            let cfg =
-              Rbp.config ~one_shot:(not recompute) ~sliding ~no_delete ~r ()
-            in
-            let oc =
-              Exact_rbp.solve ~budget ?telemetry ~want_strategy:true cfg g
-            in
-            let strategy =
-              match oc with
-              | Solver.Optimal { strategy = Some ms; _ }
-              | Solver.Bounded { incumbent_strategy = Some ms; _ } ->
-                  Some (Wire.Rbp_strategy ms)
-              | _ -> None
-            in
-            Ok (Wire.outcome_of ~game:rq.game ~r ~variants:rq.variants
-                  ?strategy ~curve:(Solver.Convergence.curve conv) ~dag:g oc)
-        | Wire.Prbp ->
-            let cfg =
-              Prbp_game.config ~one_shot:(not recompute) ~recompute
-                ~no_delete ~r ()
-            in
-            let oc =
-              Exact_prbp.solve ~budget ?telemetry ~want_strategy:true cfg g
-            in
-            let strategy =
-              match oc with
-              | Solver.Optimal { strategy = Some ms; _ }
-              | Solver.Bounded { incumbent_strategy = Some ms; _ } ->
-                  Some (Wire.Prbp_strategy ms)
-              | _ -> None
-            in
-            Ok (Wire.outcome_of ~game:rq.game ~r ~variants:rq.variants
-                  ?strategy ~curve:(Solver.Convergence.curve conv) ~dag:g oc)
-        | Wire.Multi_rbp p ->
-            let cfg = Multi.config ~p ~r () in
-            let oc =
-              Exact_multi.rbp_solve ~budget ?telemetry ~want_strategy:true cfg
-                g
-            in
-            let strategy =
-              match oc with
-              | Solver.Optimal { strategy = Some ms; _ }
-              | Solver.Bounded { incumbent_strategy = Some ms; _ } ->
-                  Some (Wire.Multi_rbp_strategy (p, ms))
-              | _ -> None
-            in
-            Ok (Wire.outcome_of ~game:rq.game ~r ~variants:rq.variants
-                  ?strategy ~curve:(Solver.Convergence.curve conv) ~dag:g oc)
-        | Wire.Multi_prbp p ->
-            let cfg = Multi.config ~p ~r () in
-            let oc =
-              Exact_multi.prbp_solve ~budget ?telemetry ~want_strategy:true
-                cfg g
-            in
-            let strategy =
-              match oc with
-              | Solver.Optimal { strategy = Some ms; _ }
-              | Solver.Bounded { incumbent_strategy = Some ms; _ } ->
-                  Some (Wire.Multi_prbp_strategy (p, ms))
-              | _ -> None
-            in
-            Ok (Wire.outcome_of ~game:rq.game ~r ~variants:rq.variants
-                  ?strategy ~curve:(Solver.Convergence.curve conv) ~dag:g oc)
-        | Wire.Black ->
-            Error
-              (Printf.sprintf "game %S is not served over the wire"
-                 (Wire.game_label rq.game))
-      in
-      (match outcome with
-      | Error msg ->
-          if rq.stream then begin
-            Http.write_chunk fd (Wire.encode_error msg);
-            Http.write_chunk fd "\n";
-            Http.write_chunk_end fd
-          end
-          else respond_error fd 400 msg
-      | Ok o ->
-          note_outcome (outcome_tag o);
-          (match o.Wire.strategy with
-          | Some strategy ->
-              let canon = { o with Wire.strategy = Some (to_canonical g strategy) } in
-              let key = if o.Wire.status = `Optimal then fkey else bkey in
-              Cache.add state.cache key (Solve_cert canon)
-          | None -> ());
-          deliver ~rq ~cache_status:"miss" fd
-            (Wire.encode_outcome (client_view rq o)))
-
-let handle_solve state (rq : Wire.request) fd =
-  match multi_precheck rq with
-  | Error msg -> respond_error ~code:"invalid-argument" fd 400 msg
-  | Ok () -> handle_solve_checked state rq fd
-
-let bracket_view (rq : Wire.request) (b : Wire.bracket) =
-  if rq.want_strategy then b else { b with Wire.strategy = None }
-
-let handle_bracket state (rq : Wire.request) fd =
-  let g = rq.dag in
-  let dag_hash = Dag.hash g in
-  match rq.game with
-  | Wire.Black | Wire.Multi_rbp _ | Wire.Multi_prbp _ ->
-      respond_error fd 400 "only the rbp/prbp games have brackets"
-  | (Wire.Rbp | Wire.Prbp) as game ->
-      let fkey = final_key ~kind:"bracket" rq ~dag_hash in
-      let bkey = budget_key ~kind:"bracket" rq ~dag_hash in
-      let cached =
-        match Cache.find state.cache fkey with
-        | Some (Bracket_cert b) -> Some (fkey, b)
-        | _ -> (
-            match Cache.find state.cache bkey with
-            | Some (Bracket_cert b) -> Some (bkey, b)
-            | _ -> None)
-      in
-      let verified =
-        Option.bind cached (fun (key, b) ->
-            match verify_bracket_entry ~rq g b with
-            | Some b -> Some b
-            | None ->
-                Cache.remove state.cache key;
-                None)
-      in
-      (match verified with
-      | Some b ->
-          Metrics.Counter.incr state.cache_hits;
-          note_outcome (if b.Wire.tight then "optimal" else "bounded");
-          stream_head ~rq ~cache_status:"hit" fd;
-          deliver ~rq ~cache_status:"hit" fd
-            (Wire.encode_bracket (bracket_view rq b))
-      | None ->
-          Metrics.Counter.incr state.cache_misses;
-          stream_head ~rq ~cache_status:"miss" fd;
-          let budget = budget_of state rq in
-          let telemetry = solve_telemetry ~rq fd in
-          let result =
-            match game with
-            | Wire.Rbp ->
-                Bracket.rbp ~budget ?telemetry ?rules:rq.rules ~r:rq.r g
-            | _ -> Bracket.prbp ~budget ?telemetry ?rules:rq.rules ~r:rq.r g
-          in
-          (match result with
-          | Error msg ->
-              if rq.stream then begin
-                Http.write_chunk fd (Wire.encode_error msg);
-                Http.write_chunk fd "\n";
-                Http.write_chunk_end fd
-              end
-              else respond_error fd 400 msg
-          | Ok bracket ->
-              let wb =
-                Wire.bracket_of ?family:(Dag.family g) ~with_moves:true
-                  bracket
-              in
-              note_outcome (if wb.Wire.tight then "optimal" else "bounded");
-              let canon =
-                {
-                  wb with
-                  Wire.strategy =
-                    Option.map (to_canonical g) wb.Wire.strategy;
-                }
-              in
-              let key = if wb.Wire.tight then fkey else bkey in
-              Cache.add state.cache key (Bracket_cert canon);
-              deliver ~rq ~cache_status:"miss" fd
-                (Wire.encode_bracket (bracket_view rq wb))))
-
-(* ------------------------------------------------------------------ *)
-(* Frontier handling *)
-
-let frontier_rs (rq : Wire.request) =
-  match rq.rs with
-  | Some rs when rs <> [] -> List.sort_uniq compare rs
-  | _ -> [ rq.r ]
-
-(* the swept capacities are part of the identity of a frontier, so
-   they join the cache key *)
-let frontier_key ~budget_part (rq : Wire.request) ~dag_hash =
-  let rs_tag = String.concat "," (List.map string_of_int (frontier_rs rq)) in
-  cache_key ~kind:("frontier:" ^ rs_tag) ~budget_part rq ~dag_hash
-
-(* every cached point's witness must replay at exactly its claimed
-   comm_upper; one failure drops the whole entry *)
-let verify_frontier_entry ~(rq : Wire.request) g (f : Wire.frontier) =
-  let ok = ref true in
-  let points =
-    List.map
-      (fun (pt : Wire.frontier_point) ->
-        match pt.strategy with
-        | None -> pt
-        | Some canon -> (
-            let strategy = of_canonical g canon in
-            let rq_pt = { rq with Wire.r = pt.r } in
-            match (checked_cost ~rq:rq_pt g strategy, pt.comm_upper) with
-            | Some c, Some cu when c = cu ->
-                { pt with Wire.strategy = Some strategy }
-            | _ ->
-                ok := false;
-                pt))
-      f.points
-  in
-  if !ok then Some { f with Wire.points } else None
-
-let frontier_view (rq : Wire.request) (f : Wire.frontier) =
-  if rq.want_strategy then f
-  else
-    {
-      f with
-      Wire.points =
-        List.map
-          (fun (pt : Wire.frontier_point) -> { pt with Wire.strategy = None })
-          f.points;
-    }
-
-let handle_frontier state (rq : Wire.request) fd =
-  let g = rq.dag in
-  match rq.game with
-  | Wire.Rbp | Wire.Prbp | Wire.Black ->
-      respond_error ~code:"invalid-argument" fd 400
-        "frontier requires a multiprocessor game (multi-rbp:P / multi-prbp:P)"
-  | (Wire.Multi_rbp p | Wire.Multi_prbp p) when p < 1 ->
-      respond_error ~code:"invalid-argument" fd 400
-        (Printf.sprintf "frontier needs p >= 1 processors, got %d" p)
-  | (Wire.Multi_rbp _ | Wire.Multi_prbp _)
+  | Wire.Frontier, (Wire.Multi_rbp p | Wire.Multi_prbp p) when p < 1 ->
+      invalid (Printf.sprintf "frontier needs p >= 1 processors, got %d" p)
+  | (Wire.Solve | Wire.Frontier), (Wire.Multi_rbp _ | Wire.Multi_prbp _)
     when rq.variants <> Wire.no_variants ->
-      respond_error ~code:"invalid-argument" fd 400
-        "multiprocessor games take no variant flags"
-  | (Wire.Multi_rbp p | Wire.Multi_prbp p) as game -> (
+      invalid "multiprocessor games take no variant flags"
+  | Wire.Solve, Wire.Multi_prbp _ when Dag.n_edges g > 62 ->
+      invalid
+        (Printf.sprintf "multiprocessor prbp exact solves cap at 62 edges, got %d"
+           (Dag.n_edges g))
+  | Wire.Solve, Wire.Rbp ->
+      Ok
+        (exact
+           (fun ms -> Wire.Rbp_strategy ms)
+           (fun ~telemetry ->
+             Exact_rbp.solve ~budget ~telemetry ~want_strategy:true
+               (Rbp.config ~one_shot:(not recompute) ~sliding ~no_delete ~r ())
+               g))
+  | Wire.Solve, Wire.Prbp ->
+      Ok
+        (exact
+           (fun ms -> Wire.Prbp_strategy ms)
+           (fun ~telemetry ->
+             Exact_prbp.solve ~budget ~telemetry ~want_strategy:true
+               (Prbp_game.config ~one_shot:(not recompute) ~recompute
+                  ~no_delete ~r ())
+               g))
+  | Wire.Solve, Wire.Multi_rbp p ->
+      Ok
+        (exact
+           (fun ms -> Wire.Multi_rbp_strategy (p, ms))
+           (fun ~telemetry ->
+             Exact_multi.rbp_solve ~budget ~telemetry ~want_strategy:true
+               (Multi.config ~p ~r ()) g))
+  | Wire.Solve, Wire.Multi_prbp p ->
+      Ok
+        (exact
+           (fun ms -> Wire.Multi_prbp_strategy (p, ms))
+           (fun ~telemetry ->
+             Exact_multi.prbp_solve ~budget ~telemetry ~want_strategy:true
+               (Multi.config ~p ~r ()) g))
+  | Wire.Solve, Wire.Black ->
+      Error
+        ( None,
+          Printf.sprintf "game %S is not served over the wire"
+            (Wire.game_label rq.game) )
+  | Wire.Bracket, ((Wire.Rbp | Wire.Prbp) as game) ->
+      let bracket = if game = Wire.Rbp then Bracket.rbp else Bracket.prbp in
+      Ok
+        (fun () ->
+          Result.map
+            (fun b ->
+              Bracket_cert
+                (Wire.bracket_of ?family:(Dag.family g) ~with_moves:true b))
+            (bracket ~budget ?telemetry ?rules:rq.rules ~r g))
+  | Wire.Bracket, _ -> Error (None, "only the rbp/prbp games have brackets")
+  | Wire.Frontier, ((Wire.Multi_rbp p | Wire.Multi_prbp p) as game) ->
       let fgame =
-        match game with
-        | Wire.Multi_rbp _ -> Frontier.Rbp_mc
-        | _ -> Frontier.Prbp_mc
+        match game with Wire.Multi_rbp _ -> Frontier.Rbp_mc | _ -> Frontier.Prbp_mc
       in
-      let dag_hash = Dag.hash g in
-      let rs = frontier_rs rq in
-      let fkey = frontier_key ~budget_part:"final" rq ~dag_hash in
-      let bkey =
-        frontier_key ~budget_part:(Wire.budget_class rq.budget) rq ~dag_hash
+      Ok
+        (fun () ->
+          let f =
+            Frontier.sweep ~budget ?rules:rq.rules fgame ~p ~rs:(frontier_rs rq)
+              g
+          in
+          Ok
+            (Frontier_cert
+               (Wire.frontier_of ?family:(Dag.family g) ~with_moves:true ~dag:g
+                  f)))
+  | Wire.Frontier, _ ->
+      invalid
+        "frontier requires a multiprocessor game (multi-rbp:P / multi-prbp:P)"
+
+(* Look the certificate up under the final key, then the budget-class
+   key; a hit is relabeled out of canonical space and replayed before
+   it is served (one failure drops the entry), a miss is computed,
+   cached in canonical space and served through the same writer. *)
+let handle_certificate state (rq : Wire.request) fd =
+  match plan state rq fd with
+  | Error (code, msg) -> respond_error ?code fd 400 msg
+  | Ok compute -> (
+      let g = rq.dag in
+      let key = cache_key rq ~dag_hash:(Dag.hash g) in
+      let fkey = key "final" and bkey = key (Wire.budget_class rq.budget) in
+      let serve cache_status e =
+        note_outcome (outcome_tag e);
+        note_cache cache_status;
+        (* the cache always carries the strategies (they ARE the
+           certificate), responses only on request *)
+        let e = if rq.want_strategy then e else map_strategies (fun _ -> None) e in
+        finish ~rq ~headers:[ ("x-prbpd-cache", cache_status) ] ~status:200 fd
+          (encode e)
       in
       let cached =
         match Cache.find state.cache fkey with
-        | Some (Frontier_cert f) -> Some (fkey, f)
-        | _ -> (
-            match Cache.find state.cache bkey with
-            | Some (Frontier_cert f) -> Some (bkey, f)
-            | _ -> None)
+        | Some e -> Some (fkey, e)
+        | None -> Option.map (fun e -> (bkey, e)) (Cache.find state.cache bkey)
       in
       let verified =
-        Option.bind cached (fun (key, f) ->
-            match verify_frontier_entry ~rq g f with
-            | Some f -> Some f
-            | None ->
-                Cache.remove state.cache key;
-                None)
+        Option.bind cached (fun (key, canon) ->
+            let e = of_canonical g canon in
+            if replays ~rq g e then Some e
+            else begin
+              (* certificate no longer checks out: drop, recompute *)
+              Cache.remove state.cache key;
+              None
+            end)
       in
       match verified with
-      | Some f ->
+      | Some e ->
           Metrics.Counter.incr state.cache_hits;
-          note_outcome (if f.Wire.exhausted then "open" else "settled");
           stream_head ~rq ~cache_status:"hit" fd;
-          deliver ~rq ~cache_status:"hit" fd
-            (Wire.encode_frontier (frontier_view rq f))
-      | None ->
+          serve "hit" e
+      | None -> (
           Metrics.Counter.incr state.cache_misses;
           stream_head ~rq ~cache_status:"miss" fd;
-          let budget = budget_of state rq in
-          let f = Frontier.sweep ~budget ?rules:rq.rules fgame ~p ~rs g in
-          let wf =
-            Wire.frontier_of ?family:(Dag.family g) ~with_moves:true ~dag:g f
-          in
-          let canon =
-            {
-              wf with
-              Wire.points =
-                List.map
-                  (fun (pt : Wire.frontier_point) ->
-                    {
-                      pt with
-                      Wire.strategy = Option.map (to_canonical g) pt.strategy;
-                    })
-                  wf.Wire.points;
-            }
-          in
-          note_outcome (if wf.Wire.exhausted then "open" else "settled");
-          (* a fully settled sweep is budget-independent *)
-          let key = if not wf.Wire.exhausted then fkey else bkey in
-          Cache.add state.cache key (Frontier_cert canon);
-          deliver ~rq ~cache_status:"miss" fd
-            (Wire.encode_frontier (frontier_view rq wf)))
+          match compute () with
+          | Ok e ->
+              (* a solve without its strategy certifies nothing *)
+              if List.for_all (fun (_, s, _) -> Option.is_some s) (witnesses e)
+              then
+                Cache.add state.cache
+                  (if final e then fkey else bkey)
+                  (to_canonical g e);
+              serve "miss" e
+          | Error msg | (exception Invalid_argument msg) ->
+              finish ~rq ~status:400 fd (Wire.encode_error msg)))
 
 (* ------------------------------------------------------------------ *)
 (* Connection handling *)
 
-let handle_api state fd (http_rq : Http.request) kind handler =
+let handle_api state fd (http_rq : Http.request) kind =
   match Wire.decode_request http_rq.Http.body with
   | Error msg -> respond_error fd 400 msg
   | Ok rq ->
       if rq.Wire.kind <> kind then
         respond_error fd 400 "request kind does not match the route"
-      else handler state rq fd
+      else handle_certificate state rq fd
 
 let wire_req (s : Flight.summary) =
   {
@@ -770,11 +619,11 @@ let handle_connection state fd =
               (fun () ->
                 match (http_rq.Http.meth, http_rq.Http.path) with
                 | "POST", "/v1/solve" ->
-                    handle_api state fd http_rq Wire.Solve handle_solve
+                    handle_api state fd http_rq Wire.Solve
                 | "POST", "/v1/bracket" ->
-                    handle_api state fd http_rq Wire.Bracket handle_bracket
+                    handle_api state fd http_rq Wire.Bracket
                 | "POST", "/v1/frontier" ->
-                    handle_api state fd http_rq Wire.Frontier handle_frontier
+                    handle_api state fd http_rq Wire.Frontier
                 | "GET", "/metrics" ->
                     note_status 200;
                     Http.write_response

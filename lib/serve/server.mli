@@ -1,8 +1,8 @@
 (** [prbpd]: the anytime pebbling service.
 
-    One process serves exact solves and certified brackets over a
-    versioned JSON wire ({!Prbp_wire.Wire}), with three load-bearing
-    properties:
+    One process serves exact solves, certified brackets and
+    multiprocessor frontiers over a versioned JSON wire
+    ({!Prbp_wire.Wire}), with four load-bearing properties:
 
     - {e Admission control.}  Requests run on a fixed {!Pool} of
       worker domains behind a bounded queue; past capacity the accept
@@ -15,16 +15,24 @@
       out.
     - {e Content-addressed certificate cache.}  Results are cached in
       {e canonical label space} under
-      [(Dag.hash, game, r, variants, budget-class)] — isomorphic
-      relabelings of a DAG share entries — and every cached
-      certificate is translated back to the request's labels and
-      {b re-verified} through the literal game checkers before being
-      served; an entry that fails re-verification is dropped and the
-      request re-solved.  Proven-optimal solves and tight brackets are
-      cached budget-independently (a certificate of OPT is valid under
-      any budget); truncated results are keyed by budget class.  The
-      [x-prbpd-cache: hit|miss] response header reports what happened
-      (the body stays byte-identical either way).
+      [(kind, Dag.hash, game, r, variants, budget-class)] — isomorphic
+      relabelings of a DAG share entries.  A cached entry is relabeled
+      back to the request's labels as a whole (one permutation, also
+      for every point of a frontier), and each witness it carries is
+      {b re-verified} through the literal game checkers at the cost it
+      claims before being served; if any fails, the entry is dropped
+      and the request recomputed.  Proven-optimal solves, tight
+      brackets and settled frontiers are cached budget-independently
+      (a certificate of OPT is valid under any budget); truncated
+      results are keyed by budget class.  The [x-prbpd-cache: hit|miss]
+      response header reports what happened (the body stays
+      byte-identical either way).
+    - {e One certificate path.}  Solves, brackets and frontiers share
+      one lookup, re-verification, compute, cache and write path.
+      Misuse (a game the route does not serve, out-of-reach [p] or
+      size, variant flags on a multiprocessor game) is refused with a
+      [400] wire error before the cache is touched or a byte is
+      written, streamed or not.
 
     Routes: [POST /v1/solve], [POST /v1/bracket] (request body:
     {!Prbp_wire.Wire.request}; responses: wire outcome / bracket
@@ -36,7 +44,11 @@
     queued counts, cache hit/miss totals, per-route latency
     histograms, and the flight recorder's recent/slowest request
     summaries).  A request with [stream:true] receives a chunked
-    response of telemetry JSON-lines followed by the result line.
+    response of telemetry JSON-lines followed by the result line.  A
+    failure after the chunked head (the solver refusing the DAG, a
+    bracket error) keeps the framing: a [200] chunked head, the
+    telemetry so far, then one wire error line and the final chunk;
+    unstreamed, the same failure is a plain [400].
 
     {e Request-scoped tracing.}  Every request runs under a fresh
     {!Prbp_obs.Span} context, so concurrent requests record disjoint,

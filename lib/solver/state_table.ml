@@ -12,8 +12,6 @@
    [slots] stores [dense index + 1]; 0 means empty.  Load factor is
    kept below 3/4. *)
 
-let initial_slots = 1 lsl 13
-
 let initial_cap = 1 lsl 12
 
 (* Two rounds of a splitmix-style finalizer; constants fit OCaml's
@@ -26,8 +24,8 @@ let mix h =
   h lxor (h lsr 31)
 
 (* Width-dispatched key hash shared by {!Flat} (probe placement) and
-   {!Sharded} (owner-shard routing).  The dominant w <= 3 cases keep
-   the exact mixing of [I2]/[I3] with no loop. *)
+   {!Sharded} (owner-shard routing).  The dominant w <= 3 cases mix
+   the key words directly, with no loop. *)
 let[@inline] hash_width width (k : int array) =
   match width with
   | 1 -> mix (Array.unsafe_get k 0)
@@ -46,106 +44,13 @@ let[@inline] hash_width width (k : int array) =
       done;
       mix !h
 
-module I2 = struct
-  type t = {
-    mutable slots : int array;
-    mutable k1 : int array;
-    mutable k2 : int array;
-    mutable v : int array;
-    mutable n : int;
-  }
-
-  let create () =
-    {
-      slots = Array.make initial_slots 0;
-      k1 = Array.make initial_cap 0;
-      k2 = Array.make initial_cap 0;
-      v = Array.make initial_cap 0;
-      n = 0;
-    }
-
-  let length t = t.n
-
-  let hash a b = mix (a lxor (b * 0x9e3779b97f4a7c1))
-
-  let find t a b =
-    let mask = Array.length t.slots - 1 in
-    let i = ref (hash a b land mask) in
-    let res = ref (-2) in
-    while !res = -2 do
-      let s = Array.unsafe_get t.slots !i in
-      if s = 0 then res := -1
-      else begin
-        let j = s - 1 in
-        if Array.unsafe_get t.k1 j = a && Array.unsafe_get t.k2 j = b then
-          res := j
-        else i := (!i + 1) land mask
-      end
-    done;
-    !res
-
-  (* Place dense index [j] into the probe array (which must have a
-     free slot for it). *)
-  let place slots j a b =
-    let mask = Array.length slots - 1 in
-    let i = ref (hash a b land mask) in
-    while Array.unsafe_get slots !i <> 0 do
-      i := (!i + 1) land mask
-    done;
-    slots.(!i) <- j + 1
-
-  let grow_dense a =
-    let b = Array.make (2 * Array.length a) 0 in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-
-  let add t a b value =
-    if 4 * (t.n + 1) > 3 * Array.length t.slots then begin
-      let slots = Array.make (2 * Array.length t.slots) 0 in
-      for j = 0 to t.n - 1 do
-        place slots j t.k1.(j) t.k2.(j)
-      done;
-      t.slots <- slots
-    end;
-    if t.n = Array.length t.k1 then begin
-      t.k1 <- grow_dense t.k1;
-      t.k2 <- grow_dense t.k2;
-      t.v <- grow_dense t.v
-    end;
-    let j = t.n in
-    t.k1.(j) <- a;
-    t.k2.(j) <- b;
-    t.v.(j) <- value;
-    place t.slots j a b;
-    t.n <- j + 1;
-    j
-
-  let key1 t j = t.k1.(j)
-
-  let key2 t j = t.k2.(j)
-
-  let value t j = Array.unsafe_get t.v j
-
-  let set_value t j x = Array.unsafe_set t.v j x
-
-  let reset t =
-    t.slots <- Array.make initial_slots 0;
-    t.k1 <- Array.make initial_cap 0;
-    t.k2 <- Array.make initial_cap 0;
-    t.v <- Array.make initial_cap 0;
-    t.n <- 0
-end
-
-(* Width-generic variant: keys are [width] consecutive ints in one
-   flat column array.  This is what the functorized {!Engine} uses —
-   the per-game packing width is only known at instance-construction
-   time (RBP packs 3 ints, PRBP 2, the multiprocessor games p + 2 /
-   2p + 2).  The fixed-width [I2]/[I3] modules remain for callers that
-   know their arity statically.
+(* Keys are [width] consecutive ints in one flat column array.  This
+   is what the functorized {!Engine} uses — the per-game packing width
+   is only known at instance-construction time (RBP packs 3 ints, PRBP
+   2, the multiprocessor games p + 2 / 2p + 2).
 
    The hash dispatches on the (per-table constant) width, so the
-   dominant w <= 3 cases keep the exact mixing of [I2]/[I3] with no
-   loop. *)
+   dominant w <= 3 cases run with no loop. *)
 module Flat = struct
   type t = {
     width : int;
@@ -200,8 +105,7 @@ module Flat = struct
   (* [find] keeps the key words in registers for the dominant widths:
      it is called once per *emitted* successor (several per explored
      state), so re-reading the caller's buffer inside the probe loop
-     is measurable.  The scalar bodies are exactly [I2.find] /
-     [I3.find] over the row-major key column. *)
+     is measurable. *)
   let find_2 t a b =
     let keys = t.keys in
     let mask = Array.length t.slots - 1 in
@@ -493,103 +397,4 @@ module Sharded = struct
     with_shard t s (fun f -> Flat.read_key f (index_of_handle t h) buf)
 
   let reset t = Array.iter Flat.reset t.tables
-end
-
-module I3 = struct
-  type t = {
-    mutable slots : int array;
-    mutable k1 : int array;
-    mutable k2 : int array;
-    mutable k3 : int array;
-    mutable v : int array;
-    mutable n : int;
-  }
-
-  let create () =
-    {
-      slots = Array.make initial_slots 0;
-      k1 = Array.make initial_cap 0;
-      k2 = Array.make initial_cap 0;
-      k3 = Array.make initial_cap 0;
-      v = Array.make initial_cap 0;
-      n = 0;
-    }
-
-  let length t = t.n
-
-  let hash a b c =
-    mix (a lxor (b * 0x9e3779b97f4a7c1) lxor (c * 0x3c79ac492ba7b65))
-
-  let find t a b c =
-    let mask = Array.length t.slots - 1 in
-    let i = ref (hash a b c land mask) in
-    let res = ref (-2) in
-    while !res = -2 do
-      let s = Array.unsafe_get t.slots !i in
-      if s = 0 then res := -1
-      else begin
-        let j = s - 1 in
-        if
-          Array.unsafe_get t.k1 j = a
-          && Array.unsafe_get t.k2 j = b
-          && Array.unsafe_get t.k3 j = c
-        then res := j
-        else i := (!i + 1) land mask
-      end
-    done;
-    !res
-
-  let place slots j a b c =
-    let mask = Array.length slots - 1 in
-    let i = ref (hash a b c land mask) in
-    while Array.unsafe_get slots !i <> 0 do
-      i := (!i + 1) land mask
-    done;
-    slots.(!i) <- j + 1
-
-  let grow_dense a =
-    let b = Array.make (2 * Array.length a) 0 in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-
-  let add t a b c value =
-    if 4 * (t.n + 1) > 3 * Array.length t.slots then begin
-      let slots = Array.make (2 * Array.length t.slots) 0 in
-      for j = 0 to t.n - 1 do
-        place slots j t.k1.(j) t.k2.(j) t.k3.(j)
-      done;
-      t.slots <- slots
-    end;
-    if t.n = Array.length t.k1 then begin
-      t.k1 <- grow_dense t.k1;
-      t.k2 <- grow_dense t.k2;
-      t.k3 <- grow_dense t.k3;
-      t.v <- grow_dense t.v
-    end;
-    let j = t.n in
-    t.k1.(j) <- a;
-    t.k2.(j) <- b;
-    t.k3.(j) <- c;
-    t.v.(j) <- value;
-    place t.slots j a b c;
-    t.n <- j + 1;
-    j
-
-  let key1 t j = t.k1.(j)
-
-  let key2 t j = t.k2.(j)
-
-  let key3 t j = t.k3.(j)
-
-  let value t j = Array.unsafe_get t.v j
-
-  let set_value t j x = Array.unsafe_set t.v j x
-
-  let reset t =
-    t.slots <- Array.make initial_slots 0;
-    t.k1 <- Array.make initial_cap 0;
-    t.k2 <- Array.make initial_cap 0;
-    t.k3 <- Array.make initial_cap 0;
-    t.v <- Array.make initial_cap 0;
-    t.n <- 0
 end

@@ -1,7 +1,8 @@
-(** Open-addressing hash tables specialized to the packed integer
-    state keys of the exact solvers: {!I2} for PRBP's
-    [(pack, marked)] pairs, {!I3} for RBP's [(red, blue, comp)]
-    triples.
+(** Open-addressing hash tables for the packed integer state keys of
+    the exact solvers: {!Flat} for one search, {!Sharded} for a
+    multicore one.  Every exact solve runs on {!Flat}, whose key width
+    is fixed per game (PRBP packs 2 ints, RBP 3, the multiprocessor
+    games [p + 2] / [2p + 2]).
 
     Keys and the stored value (the tentative 0-1 BFS distance) live in
     flat [int array]s — no boxing, no polymorphic hashing.  [add]
@@ -9,41 +10,12 @@
     across growth; solvers use it as the queue token and as a handle
     into parallel parent-pointer arrays for strategy reconstruction.
 
-    Not thread-safe; one table per search. *)
-
-module I2 : sig
-  type t
-
-  val create : unit -> t
-
-  val length : t -> int
-  (** Number of keys inserted so far. *)
-
-  val find : t -> int -> int -> int
-  (** [find t k1 k2] is the dense index of the key, or [-1]. *)
-
-  val add : t -> int -> int -> int -> int
-  (** [add t k1 k2 v] inserts a key known to be absent and returns its
-      dense index ([= length] before the call). *)
-
-  val key1 : t -> int -> int
-
-  val key2 : t -> int -> int
-  (** Recover a key from its dense index. *)
-
-  val value : t -> int -> int
-
-  val set_value : t -> int -> int -> unit
-
-  val reset : t -> unit
-  (** Empty the table and release its arrays. *)
-end
+    {!Flat} is not thread-safe: one table per search. *)
 
 (** Width-generic table: each key is [width] consecutive ints,
     supplied and read back through caller-owned buffers.  This is the
     storage behind the functorized {!Engine} — instances choose their
-    packing width at construction time ({!I2}/{!I3} cover the common
-    static arities with the same layout). *)
+    packing width at construction time. *)
 module Flat : sig
   type t
 
@@ -162,30 +134,6 @@ module Sharded : sig
   val set_value : t -> int -> int -> unit
 
   val read_key : t -> int -> int array -> unit
-
-  val reset : t -> unit
-end
-
-module I3 : sig
-  type t
-
-  val create : unit -> t
-
-  val length : t -> int
-
-  val find : t -> int -> int -> int -> int
-
-  val add : t -> int -> int -> int -> int -> int
-
-  val key1 : t -> int -> int
-
-  val key2 : t -> int -> int
-
-  val key3 : t -> int -> int
-
-  val value : t -> int -> int
-
-  val set_value : t -> int -> int -> unit
 
   val reset : t -> unit
 end

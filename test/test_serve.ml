@@ -81,9 +81,7 @@ let test_cache_lru () =
   check_true "overwrite" (Serve.Cache.find c "a" = Some 10);
   check_int "overwrite keeps size" 2 (Serve.Cache.length c);
   Serve.Cache.remove c "a";
-  check_true "removed" (Serve.Cache.find c "a" = None);
-  check_int "hits counted" 4 (Serve.Cache.hits c);
-  check_int "misses counted" 2 (Serve.Cache.misses c)
+  check_true "removed" (Serve.Cache.find c "a" = None)
 
 (* ------------------------------------------------------------------ *)
 (* HTTP: request reader *)
@@ -194,7 +192,7 @@ let test_http_trickle_deadline () =
 
 let next_port = ref 18390
 
-let with_server ?(workers = 2) ?(queue = 16) ?(max_deadline_ms = 10_000) f =
+let with_server ?(workers = 2) ?(queue = 16) f =
   incr next_port;
   let port = !next_port in
   let cfg =
@@ -203,7 +201,7 @@ let with_server ?(workers = 2) ?(queue = 16) ?(max_deadline_ms = 10_000) f =
       addr = Serve.Server.Tcp ("127.0.0.1", port);
       workers;
       queue;
-      max_deadline_ms;
+      max_deadline_ms = 10_000;
     }
   in
   let stop = Atomic.make false in
@@ -287,6 +285,31 @@ let split_head raw =
       | Some i ->
           (String.sub raw 0 i, String.sub raw (i + 4) (String.length raw - i - 4)))
 
+(* reassemble a chunked body: size-line CRLF data CRLF ... 0 CRLF CRLF.
+   Broken framing fails the test rather than passing as a short body. *)
+let dechunk body =
+  let b = Buffer.create (String.length body) in
+  let len = String.length body in
+  let rec go pos =
+    let size_line, data =
+      match String.index_from_opt body pos '\r' with
+      | Some i -> (String.sub body pos (i - pos), i + 2)
+      | None -> Alcotest.failf "chunked body: no chunk-size line in %S" body
+    in
+    match int_of_string_opt ("0x" ^ size_line) with
+    | None -> Alcotest.failf "chunked body: bad chunk-size line %S" size_line
+    | Some 0 ->
+        if String.sub body (data - 2) (len - data + 2) <> "\r\n\r\n" then
+          Alcotest.failf "chunked body: no terminating 0 CRLF CRLF in %S" body
+    | Some size ->
+        if data + size + 2 > len || String.sub body (data + size) 2 <> "\r\n"
+        then Alcotest.failf "chunked body: truncated chunk in %S" body;
+        Buffer.add_string b (String.sub body data size);
+        go (data + size + 2)
+  in
+  go 0;
+  Buffer.contents b
+
 let parse_reply raw =
   let head, body = split_head raw in
   match String.split_on_char '\n' head with
@@ -310,29 +333,8 @@ let parse_reply raw =
           header_lines
       in
       let body =
-        if List.assoc_opt "transfer-encoding" headers = Some "chunked" then begin
-          (* reassemble chunks: size-line CRLF data CRLF ... 0 CRLF CRLF *)
-          let b = Buffer.create (String.length body) in
-          let pos = ref 0 in
-          let line () =
-            let i = String.index_from body !pos '\r' in
-            let l = String.sub body !pos (i - !pos) in
-            pos := i + 2;
-            l
-          in
-          (try
-             let rec go () =
-               let size = int_of_string ("0x" ^ line ()) in
-               if size > 0 then begin
-                 Buffer.add_string b (String.sub body !pos size);
-                 pos := !pos + size + 2;
-                 go ()
-               end
-             in
-             go ()
-           with _ -> ());
-          Buffer.contents b
-        end
+        if List.assoc_opt "transfer-encoding" headers = Some "chunked" then
+          dechunk body
         else body
       in
       { status; headers; body }
@@ -476,40 +478,47 @@ let test_serve_deadline_maps_to_bounded () =
         | None -> true)
 
 let test_serve_admission_503 () =
-  with_server ~workers:1 ~queue:0 ~max_deadline_ms:10_000 @@ fun port ->
-  (* occupy the single worker with a deliberately slow solve ... *)
-  let slow =
-    Wire.encode_request
-      (Wire.request
-         ~budget:
-           {
-             Wire.max_states = None;
-             max_millis = Some 3_000;
-             max_words = None;
-           }
-         ~kind:Wire.Solve ~game:Wire.Prbp ~r:3
-         ((Prbp.Graphs.Random_dag.make ~seed:5 ~max_in_degree:3 ~layers:8 ~width:3 ())))
+  with_server ~workers:1 ~queue:0 @@ fun port ->
+  (* occupy the single worker with a request whose body is half sent:
+     it blocks in [Http.read_request] until the rest arrives (or
+     [Http.request_deadline_s] passes), so a second request can only be
+     refused *)
+  let body = solve_body ~r:2 diamond_edges 4 in
+  let raw =
+    Printf.sprintf
+      "POST /v1/solve HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s"
+      (String.length body) body
   in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let raw =
-        Printf.sprintf
-          "POST /v1/solve HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s"
-          (String.length slow) slow
-      in
-      let _ = Unix.write_substring fd raw 0 (String.length raw) in
-      Unix.sleepf 0.5;
-      (* ... then knock again: the accept loop must refuse immediately *)
-      let refused = post ~port "/v1/healthz-does-not-matter" "{}" in
-      check_int "over capacity: 503" 503 refused.status;
-      check_true "error body is wire-schema"
-        (Wire.decode_error refused.body <> None);
-      (* the slow request itself still completes (bounded) *)
-      let first = parse_reply (read_all fd) in
-      check_int "occupied worker finishes" 200 first.status)
+  let held_back = String.length body / 2 in
+  let sent = String.length raw - held_back in
+  let rec attempt tries =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    let again =
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          ignore (Unix.write_substring fd raw 0 sent);
+          let refused = post ~port "/v1/healthz-does-not-matter" "{}" in
+          (* connections are accepted in order, so a refusal of the held
+             request (the worker still finishing the readiness probe)
+             has arrived by now; only then is there anything to read *)
+          match Unix.select [ fd ] [] [] 0.1 with
+          | _ :: _, _, _ -> true
+          | [], _, _ ->
+              check_int "over capacity: 503" 503 refused.status;
+              check_true "error body is wire-schema"
+                (Wire.decode_error refused.body <> None);
+              ignore (Unix.write_substring fd raw sent held_back);
+              let held = parse_reply (read_all fd) in
+              check_int "occupied worker finishes" 200 held.status;
+              false)
+    in
+    if again then
+      if tries = 0 then Alcotest.fail "the held request was never admitted"
+      else attempt (tries - 1)
+  in
+  attempt 5
 
 let test_serve_rejections () =
   with_server @@ fun port ->
@@ -871,6 +880,205 @@ let test_serve_concurrent_clients () =
          reply; first: %s"
         (List.length bad) (16 * per_client) first
 
+(* ------------------------------------------------------------------ *)
+(* One certificate path: every route keys, re-verifies, relabels and
+   serves its certificates the same way *)
+
+type served =
+  | Outcome of Wire.outcome
+  | Bracket of Wire.bracket
+  | Front of Wire.frontier
+
+let decode_served kind body =
+  let decoded =
+    match kind with
+    | Wire.Solve -> Result.map (fun o -> Outcome o) (Wire.decode_outcome body)
+    | Wire.Bracket ->
+        Result.map (fun b -> Bracket b) (Wire.decode_bracket body)
+    | Wire.Frontier ->
+        Result.map (fun f -> Front f) (Wire.decode_frontier body)
+  in
+  match decoded with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "served record does not decode: %s" e
+
+let strip_strategies = function
+  | Outcome o -> Outcome { o with Wire.strategy = None }
+  | Bracket b -> Bracket { b with Wire.strategy = None }
+  | Front f ->
+      Front
+        {
+          f with
+          Wire.points =
+            List.map
+              (fun (pt : Wire.frontier_point) ->
+                { pt with Wire.strategy = None })
+              f.Wire.points;
+        }
+
+(* every certificate a record carries: (r, strategy, claimed cost) *)
+let served_witnesses = function
+  | Outcome o -> [ (o.Wire.r, o.Wire.strategy, o.Wire.upper) ]
+  | Bracket b -> [ (b.Wire.r, b.Wire.strategy, Some b.Wire.upper) ]
+  | Front f ->
+      List.map
+        (fun (pt : Wire.frontier_point) ->
+          (pt.Wire.r, pt.Wire.strategy, pt.Wire.comm_upper))
+        f.Wire.points
+
+let replay_cost g ~r = function
+  | Wire.Rbp_strategy moves -> rbp_cost ~r g moves
+  | Wire.Prbp_strategy moves -> prbp_cost ~r g moves
+  | Wire.Multi_rbp_strategy (p, moves) -> (
+      match Prbp.Multi.R.check (Prbp.Multi.config ~p ~r ()) g moves with
+      | Ok c -> c
+      | Error e -> Alcotest.failf "invalid RBP-MC pebbling: %s" e)
+  | Wire.Multi_prbp_strategy (p, moves) -> (
+      match Prbp.Multi.P.check (Prbp.Multi.config ~p ~r ()) g moves with
+      | Ok c -> c
+      | Error e -> Alcotest.failf "invalid PRBP-MC pebbling: %s" e)
+
+(* every witness is present and replays on [g] at the cost it claims *)
+let check_replays what g served =
+  List.iter
+    (fun (r, strategy, claimed) ->
+      match (strategy, claimed) with
+      | Some s, Some cost ->
+          check_int (what ^ ": witness replays at its claimed cost") cost
+            (replay_cost g ~r s)
+      | _ -> Alcotest.failf "%s: a witness or its claimed cost is missing" what)
+    (served_witnesses served)
+
+let cache_status reply =
+  Option.value (List.assoc_opt "x-prbpd-cache" reply.headers) ~default:"-"
+
+let test_serve_certificate_path () =
+  with_server @@ fun port ->
+  let relabeled = [ (3, 2); (3, 1); (2, 0); (1, 0) ] in
+  let diamond = Dag.make ~n:4 diamond_edges
+  and relabeled_dag = Dag.make ~n:4 relabeled in
+  (* a hit served in canonical labels would replay on neither DAG *)
+  List.iter
+    (fun g ->
+      check_true "canonical order is not the identity"
+        (Dag.canonical_order g <> Array.init 4 Fun.id))
+    [ diamond; relabeled_dag ];
+  let path_of = function
+    | Wire.Solve -> "/v1/solve"
+    | Wire.Bracket -> "/v1/bracket"
+    | Wire.Frontier -> "/v1/frontier"
+  in
+  List.iter
+    (fun (kind, game, r, rs) ->
+      let what =
+        Printf.sprintf "%s %s r=%d" (path_of kind) (Wire.game_label game) r
+      in
+      let body ?(want_strategy = true) ?stream dag =
+        Wire.encode_request
+          (Wire.request ~want_strategy ?stream ?rs ~kind ~game ~r dag)
+      in
+      let post dag_body = post ~port (path_of kind) dag_body in
+      let first = post (body diamond) in
+      check_int (what ^ ": first status") 200 first.status;
+      Alcotest.(check string) (what ^ ": first is a miss") "miss"
+        (cache_status first);
+      let missed = decode_served kind first.body in
+      check_replays what diamond missed;
+      let second = post (body diamond) in
+      Alcotest.(check string) (what ^ ": repeat hits") "hit"
+        (cache_status second);
+      Alcotest.(check string) (what ^ ": hit is byte-identical") first.body
+        second.body;
+      let moved = post (body relabeled_dag) in
+      Alcotest.(check string) (what ^ ": relabeled DAG hits") "hit"
+        (cache_status moved);
+      check_replays (what ^ " relabeled") relabeled_dag
+        (decode_served kind moved.body);
+      let lean = post (body ~want_strategy:false diamond) in
+      Alcotest.(check string) (what ^ ": strategy-less request hits") "hit"
+        (cache_status lean);
+      check_true (what ^ ": strategy-less record is the miss's, stripped")
+        (decode_served kind lean.body = strip_strategies missed);
+      let streamed = post (body ~stream:true diamond) in
+      check_int (what ^ ": streamed status") 200 streamed.status;
+      Alcotest.(check (option string))
+        (what ^ ": streamed is chunked") (Some "chunked")
+        (List.assoc_opt "transfer-encoding" streamed.headers);
+      Alcotest.(check string) (what ^ ": streamed hits") "hit"
+        (cache_status streamed);
+      Alcotest.(check string)
+        (what ^ ": streamed body is the hit body and a newline")
+        (second.body ^ "\n") streamed.body)
+    [
+      (Wire.Solve, Wire.Rbp, 3, None);
+      (Wire.Solve, Wire.Prbp, 2, None);
+      (Wire.Solve, Wire.Multi_prbp 2, 2, None);
+      (Wire.Bracket, Wire.Rbp, 3, None);
+      (Wire.Bracket, Wire.Prbp, 2, None);
+      (Wire.Frontier, Wire.Multi_prbp 2, 2, Some [ 2; 3 ]);
+    ];
+  (* a truncated solve is cached under its budget class: caps in one
+     power-of-two class share the entry, the next class misses *)
+  let g =
+    Prbp.Graphs.Random_dag.make ~seed:5 ~max_in_degree:3 ~layers:8 ~width:3 ()
+  in
+  let capped states =
+    post ~port "/v1/solve"
+      (Wire.encode_request
+         (Wire.request ~want_strategy:true
+            ~budget:
+              {
+                Wire.max_states = Some states;
+                max_millis = None;
+                max_words = None;
+              }
+            ~kind:Wire.Solve ~game:Wire.Prbp ~r:3 g))
+  in
+  let first = capped 3_000 in
+  check_int "capped solve status" 200 first.status;
+  Alcotest.(check string) "capped solve is a miss" "miss" (cache_status first);
+  (match decode_served Wire.Solve first.body with
+  | Outcome o ->
+      check_true "capped solve is Bounded" (o.Wire.status = `Bounded);
+      check_replays "capped solve" g (Outcome o)
+  | _ -> Alcotest.fail "capped solve did not decode as an outcome");
+  Alcotest.(check string) "same cap hits" "hit" (cache_status (capped 3_000));
+  Alcotest.(check string) "cap in the same class hits" "hit"
+    (cache_status (capped 4_000));
+  Alcotest.(check string) "cap in the next class misses" "miss"
+    (cache_status (capped 5_000))
+
+(* A solver that refuses the DAG after the chunked head went out ends
+   the stream with one wire error line; misuse is refused before any
+   byte is written, streamed or not. *)
+let test_serve_streamed_failures () =
+  with_server @@ fun port ->
+  let path = List.init 39 (fun i -> (i, i + 1)) in
+  let streamed = post ~port "/v1/solve" (solve_body ~stream:true ~r:2 path 40) in
+  check_int "streamed refusal: status" 200 streamed.status;
+  Alcotest.(check (option string))
+    "streamed refusal: chunked" (Some "chunked")
+    (List.assoc_opt "transfer-encoding" streamed.headers);
+  let line =
+    match String.split_on_char '\n' streamed.body with
+    | [ line; "" ] -> line
+    | _ -> Alcotest.failf "streamed refusal: not one line: %S" streamed.body
+  in
+  Alcotest.(check (option string))
+    "streamed refusal: the solver's message"
+    (Some "Exact_prbp: at most 31 nodes") (Wire.decode_error line);
+  let plain = post ~port "/v1/solve" (solve_body ~r:2 path 40) in
+  check_int "unstreamed refusal: 400" 400 plain.status;
+  Alcotest.(check string) "unstreamed refusal: same error" line plain.body;
+  let black ?stream () =
+    post ~port "/v1/solve" (solve_body ~game:Wire.Black ?stream ~r:2 diamond_edges 4)
+  in
+  let plain = black () and streamed = black ~stream:true () in
+  check_int "black: 400" 400 plain.status;
+  check_int "streamed black: 400" 400 streamed.status;
+  Alcotest.(check string) "streamed black: the unstreamed body" plain.body
+    streamed.body
+
 let suite =
   [
     ( "serve",
@@ -896,5 +1104,8 @@ let suite =
         slow_case "serve: concurrent clients" test_serve_concurrent_clients;
         case "http: a trickling client misses the request deadline"
           test_http_trickle_deadline;
+        slow_case "serve: one certificate path" test_serve_certificate_path;
+        slow_case "serve: streamed failures end cleanly"
+          test_serve_streamed_failures;
       ] );
   ]

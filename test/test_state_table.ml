@@ -1,102 +1,88 @@
 open Test_util
-module I2 = Prbp_solver.State_table.I2
-module I3 = Prbp_solver.State_table.I3
+module Flat = Prbp_solver.State_table.Flat
 
-(* Deterministic insert/lookup/update against sequential keys, enough
-   volume to force several slot-array and dense-array growths. *)
-let test_i2_grow () =
-  let t = I2.create () in
+(* Deterministic insert/lookup/update against sequential width-2 keys,
+   enough volume to force several slot-array and dense-array
+   growths. *)
+let test_flat_grow () =
+  let t = Flat.create ~width:2 () in
   let n = 100_000 in
   for i = 0 to n - 1 do
-    check_int "absent" (-1) (I2.find t i (i * 7));
-    let idx = I2.add t i (i * 7) (i + 1) in
+    check_int "absent" (-1) (Flat.find t [| i; i * 7 |]);
+    let idx = Flat.add t [| i; i * 7 |] (i + 1) in
     check_int "dense index is insertion order" i idx
   done;
-  check_int "length" n (I2.length t);
+  check_int "length" n (Flat.length t);
+  check_true "dense columns grew" (Flat.resizes t > 0);
+  let buf = [| 0; 0 |] in
   for i = 0 to n - 1 do
-    let idx = I2.find t i (i * 7) in
+    let idx = Flat.find t [| i; i * 7 |] in
     check_int "found" i idx;
-    check_int "value" (i + 1) (I2.value t idx);
-    check_int "key1" i (I2.key1 t idx);
-    check_int "key2" (i * 7) (I2.key2 t idx)
+    check_int "value" (i + 1) (Flat.value t idx);
+    check_int "key 0" i (Flat.key t idx 0);
+    check_int "key 1" (i * 7) (Flat.key t idx 1);
+    Flat.read_key t idx buf;
+    check_true "read_key" (buf = [| i; i * 7 |])
   done;
-  I2.set_value t 0 42;
-  check_int "set_value" 42 (I2.value t 0);
-  I2.reset t;
-  check_int "reset empties" 0 (I2.length t);
-  check_int "reset forgets" (-1) (I2.find t 3 21)
+  Flat.set_value t 0 42;
+  check_int "set_value" 42 (Flat.value t 0);
+  Flat.reset t;
+  check_int "reset empties" 0 (Flat.length t);
+  check_int "reset restores the capacity" 0 (Flat.resizes t);
+  check_int "reset forgets" (-1) (Flat.find t [| 3; 21 |])
 
-(* Adversarial collisions: keys differing only in high bits, and
-   bitmask-shaped keys (the solver's actual distribution). *)
-let test_i3_collisions () =
-  let t = I3.create () in
+(* Adversarial collisions at width 3: keys differing only in high
+   bits, and bitmask-shaped keys (the solver's actual distribution). *)
+let test_flat_collisions () =
+  let t = Flat.create ~width:3 () in
   let keys =
     List.concat_map
       (fun a ->
         List.concat_map
-          (fun b -> List.map (fun c -> (a lsl 40, b lsl 20, c)) [ 0; 1; 2; 3 ])
+          (fun b -> List.map (fun c -> [| a lsl 40; b lsl 20; c |]) [ 0; 1; 2; 3 ])
           [ 0; 1; 2; 3 ])
       [ 0; 1; 2; 3; 4; 5; 6; 7 ]
   in
   List.iteri
-    (fun i (a, b, c) ->
-      check_int "absent" (-1) (I3.find t a b c);
-      check_int "idx" i (I3.add t a b c i))
+    (fun i k ->
+      check_int "absent" (-1) (Flat.find t k);
+      check_int "idx" i (Flat.add t k i))
     keys;
+  let buf = Array.make 3 0 in
   List.iteri
-    (fun i (a, b, c) ->
-      let idx = I3.find t a b c in
+    (fun i k ->
+      let idx = Flat.find t k in
       check_int "found" i idx;
-      check_int "value" i (I3.value t idx);
-      check_true "keys back"
-        (I3.key1 t idx = a && I3.key2 t idx = b && I3.key3 t idx = c))
+      check_int "value" i (Flat.value t idx);
+      Flat.read_key t idx buf;
+      check_true "keys back" (buf = k))
     keys
 
-(* qcheck: an arbitrary op sequence agrees with a Hashtbl model. *)
-let qtest_i2_vs_hashtbl =
-  QCheck.Test.make ~count:200 ~name:"I2 agrees with a Hashtbl model"
-    QCheck.(list (triple small_signed_int small_signed_int small_nat))
+(* qcheck: an arbitrary op sequence agrees with a Hashtbl model.  Width
+   2 and 3 take the unrolled probe loops, width 5 the generic hash. *)
+let qtest_flat_vs_hashtbl width =
+  QCheck.Test.make ~count:200
+    ~name:(Printf.sprintf "Flat w=%d agrees with a Hashtbl model" width)
+    QCheck.(list (pair (array_of_size (Gen.return width) small_signed_int) small_nat))
     (fun ops ->
-      let t = I2.create () in
+      let t = Flat.create ~width () in
       let model = Hashtbl.create 16 in
       List.iter
-        (fun (a, b, v) ->
-          let idx = I2.find t a b in
-          if idx >= 0 then I2.set_value t idx v
-          else ignore (I2.add t a b v);
-          Hashtbl.replace model (a, b) v)
+        (fun (k, v) ->
+          let idx = Flat.find t k in
+          if idx >= 0 then Flat.set_value t idx v else ignore (Flat.add t k v);
+          Hashtbl.replace model (Array.to_list k) v)
         ops;
-      Hashtbl.length model = I2.length t
+      let buf = Array.make width 0 in
+      Hashtbl.length model = Flat.length t
       && Hashtbl.fold
-           (fun (a, b) v acc ->
+           (fun k v acc ->
              acc
              &&
-             let idx = I2.find t a b in
-             idx >= 0 && I2.value t idx = v && I2.key1 t idx = a
-             && I2.key2 t idx = b)
-           model true)
-
-let qtest_i3_vs_hashtbl =
-  QCheck.Test.make ~count:200 ~name:"I3 agrees with a Hashtbl model"
-    QCheck.(
-      list (pair small_signed_int (pair small_signed_int small_signed_int)))
-    (fun ops ->
-      let t = I3.create () in
-      let model = Hashtbl.create 16 in
-      List.iteri
-        (fun v (a, (b, c)) ->
-          let idx = I3.find t a b c in
-          if idx >= 0 then I3.set_value t idx v
-          else ignore (I3.add t a b c v);
-          Hashtbl.replace model (a, b, c) v)
-        ops;
-      Hashtbl.length model = I3.length t
-      && Hashtbl.fold
-           (fun (a, b, c) v acc ->
-             acc
-             &&
-             let idx = I3.find t a b c in
-             idx >= 0 && I3.value t idx = v)
+             let idx = Flat.find t (Array.of_list k) in
+             idx >= 0 && Flat.value t idx = v
+             && (Flat.read_key t idx buf;
+                 Array.to_list buf = k))
            model true)
 
 (* The solvers' bit kernels, exercised over every single-bit input and
@@ -129,10 +115,11 @@ let suite =
   [
     ( "state_table",
       [
-        case "I2 insert/lookup/grow/reset" test_i2_grow;
-        case "I3 adversarial collisions" test_i3_collisions;
-        QCheck_alcotest.to_alcotest qtest_i2_vs_hashtbl;
-        QCheck_alcotest.to_alcotest qtest_i3_vs_hashtbl;
+        case "Flat insert/lookup/grow/reset" test_flat_grow;
+        case "Flat adversarial collisions" test_flat_collisions;
+        QCheck_alcotest.to_alcotest (qtest_flat_vs_hashtbl 2);
+        QCheck_alcotest.to_alcotest (qtest_flat_vs_hashtbl 3);
         case "bit kernels" test_bits;
+        QCheck_alcotest.to_alcotest (qtest_flat_vs_hashtbl 5);
       ] );
   ]
