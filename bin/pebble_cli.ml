@@ -198,13 +198,7 @@ let game_arg =
    usage error (exit 124) whose message lists the registry *)
 let rule_conv =
   let parse n =
-    let known = Prbp.Bounds.Lower.names () in
-    if List.mem n known then Ok n
-    else
-      Error
-        (`Msg
-          (Printf.sprintf "unknown lower rule %S (registered: %s)" n
-             (String.concat ", " known)))
+    Result.map_error (fun m -> `Msg m) (Prbp.Bounds.Lower.check_name n)
   in
   Arg.conv (parse, Fmt.string)
 
@@ -435,8 +429,10 @@ let solve_cmd =
       & info [ "spill-words" ] ~docv:"N"
           ~doc:
             "With $(b,--budget-words): instead of stopping at the memory \
-             budget, evict settled states to a temporary file and keep \
-             searching until the spill file itself reaches $(docv) words.")
+             budget, drop settled states from memory (one reached again is \
+             re-explored) and keep searching until the dropped states \
+             reach $(docv) words, counted as the state width plus one per \
+             state.")
   in
   let jobs =
     Arg.(

@@ -47,6 +47,14 @@ let register (module R : RULE) =
 
 let names () = List.map (fun (module R : RULE) -> R.name) !registry
 
+let check_name n =
+  let known = names () in
+  if List.mem n known then Ok n
+  else
+    Error
+      (Printf.sprintf "unknown lower rule %S (registered: %s)" n
+         (String.concat ", " known))
+
 type t = {
   game : game;
   r : int;

@@ -103,6 +103,11 @@ val register : (module RULE) -> unit
 val names : unit -> string list
 (** Registered rule names, in registration order. *)
 
+val check_name : string -> (string, string) Stdlib.result
+(** [Ok name] when a rule of that name is registered, else
+    [Error "unknown lower rule \"name\" (registered: …)"] — the one
+    name check behind every interface that takes rule names. *)
+
 type t = {
   game : game;
   r : int;

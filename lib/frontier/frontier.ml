@@ -66,68 +66,41 @@ let exact_reach game ~p g =
 let exact_probe ~budget ?jobs game ~p ~r g =
   let cfg = Multi.config ~p ~r () in
   let conv, sink = Solver.Convergence.recorder () in
-  let curve () = Solver.Convergence.curve conv in
+  (* one reading of either game's outcome; [wrap] tags its moves *)
+  let interval wrap = function
+    | Solver.Optimal { cost; strategy; _ } ->
+        Interval
+          {
+            i_lower = cost;
+            i_upper = Some cost;
+            i_status = `Exact;
+            i_source = "exact";
+            i_witness = Option.map wrap strategy;
+            i_curve = Solver.Convergence.curve conv;
+          }
+    | Solver.Bounded { lower; upper; incumbent_strategy; _ } ->
+        Interval
+          {
+            i_lower = lower;
+            i_upper = upper;
+            i_status = `Bracketed;
+            i_source = "exact-truncated";
+            i_witness = Option.map wrap incumbent_strategy;
+            i_curve = Solver.Convergence.curve conv;
+          }
+    | Solver.Unsolvable _ -> Infeasible
+  in
   match game with
-  | Rbp_mc -> (
-      match
-        Exact_multi.rbp_solve ~budget ~telemetry:sink ?jobs ~want_strategy:true
-          cfg g
-      with
-      | Solver.Optimal { cost; strategy; _ } ->
-          Interval
-            {
-              i_lower = cost;
-              i_upper = Some cost;
-              i_status = `Exact;
-              i_source = "exact";
-              i_witness =
-                Option.map (fun mv -> Multi_bounds.Rbp_mc_moves mv) strategy;
-              i_curve = curve ();
-            }
-      | Solver.Bounded { lower; upper; incumbent_strategy; _ } ->
-          Interval
-            {
-              i_lower = lower;
-              i_upper = upper;
-              i_status = `Bracketed;
-              i_source = "exact-truncated";
-              i_witness =
-                Option.map
-                  (fun mv -> Multi_bounds.Rbp_mc_moves mv)
-                  incumbent_strategy;
-              i_curve = curve ();
-            }
-      | Solver.Unsolvable _ -> Infeasible)
-  | Prbp_mc -> (
-      match
-        Exact_multi.prbp_solve ~budget ~telemetry:sink ?jobs
-          ~want_strategy:true cfg g
-      with
-      | Solver.Optimal { cost; strategy; _ } ->
-          Interval
-            {
-              i_lower = cost;
-              i_upper = Some cost;
-              i_status = `Exact;
-              i_source = "exact";
-              i_witness =
-                Option.map (fun mv -> Multi_bounds.Prbp_mc_moves mv) strategy;
-              i_curve = curve ();
-            }
-      | Solver.Bounded { lower; upper; incumbent_strategy; _ } ->
-          Interval
-            {
-              i_lower = lower;
-              i_upper = upper;
-              i_status = `Bracketed;
-              i_source = "exact-truncated";
-              i_witness =
-                Option.map
-                  (fun mv -> Multi_bounds.Prbp_mc_moves mv)
-                  incumbent_strategy;
-              i_curve = curve ();
-            }
-      | Solver.Unsolvable _ -> Infeasible)
+  | Rbp_mc ->
+      interval
+        (fun mv -> Multi_bounds.Rbp_mc_moves mv)
+        (Exact_multi.rbp_solve ~budget ~telemetry:sink ?jobs
+           ~want_strategy:true cfg g)
+  | Prbp_mc ->
+      interval
+        (fun mv -> Multi_bounds.Prbp_mc_moves mv)
+        (Exact_multi.prbp_solve ~budget ~telemetry:sink ?jobs
+           ~want_strategy:true cfg g)
 
 let bracket_probe ~budget ?rules game ~p ~r g =
   let t0 = Clock.now () in

@@ -8,6 +8,7 @@ module Exact_rbp = Prbp_solver.Exact_rbp
 module Exact_prbp = Prbp_solver.Exact_prbp
 module Exact_multi = Prbp_solver.Exact_multi
 module Bracket = Prbp_bounds.Bracket
+module Lower = Prbp_bounds.Lower
 module Frontier = Prbp_frontier.Frontier
 module Metrics = Prbp_obs.Metrics
 module Span = Prbp_obs.Span
@@ -280,15 +281,23 @@ let frontier_rs (rq : Wire.request) =
   | Some rs when rs <> [] -> List.sort_uniq compare rs
   | _ -> [ rq.r ]
 
-(* the swept capacities are part of the identity of a frontier, so
+(* the swept capacities of a frontier, and the lower-rule set a
+   bracket or frontier was restricted to, are part of its identity, so
    they join the kind *)
 let cache_key (rq : Wire.request) ~dag_hash budget_part =
+  let rules =
+    match rq.rules with
+    | Some names -> ":rules=" ^ String.concat "," (List.sort_uniq compare names)
+    | None -> ""
+  in
   let kind =
     match rq.kind with
     | Wire.Solve -> "solve"
-    | Wire.Bracket -> "bracket"
+    | Wire.Bracket -> "bracket" ^ rules
     | Wire.Frontier ->
-        "frontier:" ^ String.concat "," (List.map string_of_int (frontier_rs rq))
+        "frontier:"
+        ^ String.concat "," (List.map string_of_int (frontier_rs rq))
+        ^ rules
   in
   String.concat "|"
     [
@@ -417,6 +426,20 @@ let plan state (rq : Wire.request) fd =
          (Wire.outcome_of ~game:rq.game ~r ~variants:rq.variants ?strategy
             ~curve:(Solver.Convergence.curve conv) ~dag:g oc))
   in
+  (* an unknown lower-rule name would select no rule, and the bare
+     bound it leaves would be cached *)
+  let unknown_rule =
+    match (rq.kind, rq.rules) with
+    | (Wire.Bracket | Wire.Frontier), Some names ->
+        List.find_map
+          (fun n ->
+            match Lower.check_name n with Ok _ -> None | Error msg -> Some msg)
+          names
+    | _ -> None
+  in
+  match unknown_rule with
+  | Some msg -> invalid msg
+  | None ->
   match (rq.kind, rq.game) with
   | Wire.Solve, (Wire.Multi_rbp p | Wire.Multi_prbp p) when p < 1 || p > 8 ->
       invalid

@@ -15,8 +15,10 @@
       out.
     - {e Content-addressed certificate cache.}  Results are cached in
       {e canonical label space} under
-      [(kind, Dag.hash, game, r, variants, budget-class)] — isomorphic
-      relabelings of a DAG share entries.  A cached entry is relabeled
+      [(kind, Dag.hash, game, r, variants, budget-class)], where the
+      kind of a frontier names its capacities and that of a bracket or
+      frontier restricted to some lower rules names the rule set —
+      isomorphic relabelings of a DAG share entries.  A cached entry is relabeled
       back to the request's labels as a whole (one permutation, also
       for every point of a frontier), and each witness it carries is
       {b re-verified} through the literal game checkers at the cost it
@@ -30,9 +32,9 @@
     - {e One certificate path.}  Solves, brackets and frontiers share
       one lookup, re-verification, compute, cache and write path.
       Misuse (a game the route does not serve, out-of-reach [p] or
-      size, variant flags on a multiprocessor game) is refused with a
-      [400] wire error before the cache is touched or a byte is
-      written, streamed or not.
+      size, variant flags on a multiprocessor game, an unregistered
+      lower-rule name) is refused with a [400] wire error before the
+      cache is touched or a byte is written, streamed or not.
 
     Routes: [POST /v1/solve], [POST /v1/bracket] (request body:
     {!Prbp_wire.Wire.request}; responses: wire outcome / bracket

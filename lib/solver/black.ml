@@ -36,7 +36,7 @@ module G = struct
 
   let residual_lb _ _ = 0
 
-  let heuristic_ub _ = max_int
+  let incumbent _ = None
 
   let expand inst cur ~scratch ~emit =
     let mask = cur.(0) and visited = cur.(1) in

@@ -249,8 +249,96 @@ module Make (G : Game.S) = struct
       ctx.dq;
     if !best < max_int then !best else ctx.cur_d
 
-  let solve_raw ?(budget = Solver.Budget.default) ?telemetry
-      ?(want_strategy = false) ?(prune = true) inst =
+  (* How a search loop ended. *)
+  type ending =
+    | Goal of int * G.move list option  (* cost, optimal strategy *)
+    | Exhausted  (* no goal state is reachable *)
+    | Stopped of Solver.reason * int
+        (* the frontier's certified lower bound, before the clamp *)
+
+  (* The one exit of both search loops: build the outcome, emit the
+     terminal telemetry event, and feed the end-of-solve counters and
+     the solve span — never from the expansion loop.  [domains] holds
+     the parallel loop's per-domain (expansions, pruned, spilled)
+     counts; the sequential loop has none. *)
+  let finish ~telemetry ~want_strategy ~incumbent ~t0 ~progress ~stats
+      ~resizes ~peak_frontier ?domains ending =
+    let upper = Option.map fst incumbent in
+    let outcome =
+      match ending with
+      | Goal (cost, strategy) -> Solver.Optimal { cost; strategy; stats }
+      | Exhausted -> Solver.Unsolvable stats
+      | Stopped (stopped, lb) ->
+          (* clamp against the incumbent: an upper bound comes from a
+             concrete strategy, so OPT <= upper always holds *)
+          let lower = match upper with Some u -> min lb u | None -> lb in
+          (* move lists are strictly opt-in, incumbent included *)
+          let incumbent_strategy =
+            if want_strategy then Option.map snd incumbent else None
+          in
+          Solver.Bounded { lower; upper; incumbent_strategy; stats; stopped }
+    in
+    (match telemetry with
+    | Some sink ->
+        (* the terminal event carries the outcome's certified interval,
+           which can beat the last mid-run sighting (the final Bounded
+           lower comes from the surviving frontier, not just the
+           settled depth) *)
+        let lo, up = Solver.interval outcome in
+        sink.Solver.Telemetry.emit
+          (Solver.Telemetry.Stop
+             {
+               outcome = Solver.outcome_label outcome;
+               progress =
+                 { (progress ()) with Solver.Telemetry.lower = lo; upper = up };
+             })
+    | None -> ());
+    if Metrics.enabled () then begin
+      Metrics.Counter.incr m_solves;
+      Metrics.Counter.add m_expansions stats.Solver.expansions;
+      Metrics.Counter.add m_explored stats.Solver.explored;
+      Metrics.Counter.add m_pruned stats.Solver.pruned;
+      Metrics.Counter.add m_table_resizes resizes;
+      Metrics.Gauge.max_ m_peak_frontier (float_of_int peak_frontier);
+      Metrics.Histogram.observe m_solve_seconds (Clock.elapsed_s t0);
+      (* per-domain view of the same solve: one labeled counter family
+         per metric (the registry dedupes registration, so this costs a
+         lookup per domain per solve) *)
+      Option.iter
+        (Array.iteri (fun id (expansions, pruned, spilled) ->
+             let labels = [ ("domain", string_of_int id) ] in
+             Metrics.Counter.add
+               (Metrics.counter ~help:"states expanded, by engine domain"
+                  ~labels "prbp_engine_domain_expansions_total")
+               expansions;
+             Metrics.Counter.add
+               (Metrics.counter
+                  ~help:"states cut by branch-and-bound, by owning domain"
+                  ~labels "prbp_engine_domain_pruned_total")
+               pruned;
+             Metrics.Counter.add
+               (Metrics.counter
+                  ~help:"settled states evicted to the spill tier, by domain"
+                  ~labels "prbp_engine_domain_spilled_total")
+               spilled))
+        domains
+    end;
+    if Span.enabled () then begin
+      (* bridge the terminal telemetry into span annotations *)
+      Span.add_attr "outcome" (Solver.outcome_label outcome);
+      Option.iter
+        (fun d -> Span.add_attr "jobs" (string_of_int (Array.length d)))
+        domains;
+      Span.add_attr "expansions" (string_of_int stats.Solver.expansions);
+      Span.add_attr "explored" (string_of_int stats.Solver.explored);
+      if stats.Solver.pruned > 0 then
+        Span.add_attr "pruned" (string_of_int stats.Solver.pruned);
+      if stats.Solver.spilled > 0 then
+        Span.add_attr "spilled" (string_of_int stats.Solver.spilled)
+    end;
+    outcome
+
+  let solve_raw ~budget ~telemetry ~want_strategy ~incumbent inst =
     let w = G.width inst in
     let t0 = Clock.now () in
     let ctx =
@@ -259,7 +347,7 @@ module Make (G : Game.S) = struct
         budget;
         tele = telemetry;
         want_strategy;
-        ub = (if prune then G.heuristic_ub inst else max_int);
+        ub = (match incumbent with Some (c, _) -> c | None -> max_int);
         t0;
         deadline =
           (match budget.Solver.Budget.max_millis with
@@ -337,81 +425,31 @@ module Make (G : Game.S) = struct
     assert (
       want_strategy
       || (Array.length ctx.parent_idx = 0 && Array.length ctx.parent_move = 0));
-    let finish outcome =
-      (match telemetry with
-      | Some sink ->
-          (* the terminal event carries the outcome's certified
-             interval, which can beat the last mid-run sighting (the
-             final Bounded lower comes from the surviving frontier,
-             not just the settled depth) *)
-          let lo, up = Solver.interval outcome in
-          sink.emit
-            (Solver.Telemetry.Stop
-               {
-                 outcome = Solver.outcome_label outcome;
-                 progress = { (progress ctx) with lower = lo; upper = up };
-               })
-      | None -> ());
-      (* end-of-solve observability: counters and the solve span are
-         fed once here, never from the expansion loop *)
-      let frontier = Deque01.length ctx.dq in
-      if frontier > ctx.peak_frontier then ctx.peak_frontier <- frontier;
-      if Metrics.enabled () then begin
-        Metrics.Counter.incr m_solves;
-        Metrics.Counter.add m_expansions ctx.expansions;
-        Metrics.Counter.add m_explored (T.length ctx.tbl);
-        Metrics.Counter.add m_pruned ctx.pruned;
-        Metrics.Counter.add m_table_resizes (T.resizes ctx.tbl);
-        Metrics.Gauge.max_ m_peak_frontier (float_of_int ctx.peak_frontier);
-        Metrics.Histogram.observe m_solve_seconds (Clock.elapsed_s ctx.t0)
-      end;
-      if Span.enabled () then begin
-        (* bridge the terminal telemetry into span annotations *)
-        Span.add_attr "outcome" (Solver.outcome_label outcome);
-        Span.add_attr "expansions" (string_of_int ctx.expansions);
-        Span.add_attr "explored" (string_of_int (T.length ctx.tbl));
-        if ctx.pruned > 0 then
-          Span.add_attr "pruned" (string_of_int ctx.pruned)
-      end;
-      outcome
+    let ending =
+      match (!result, ctx.stop) with
+      | Some (goal, d), _ ->
+          let strategy =
+            if not want_strategy then None
+            else begin
+              let acc = ref [] in
+              let idx = ref goal in
+              while !idx <> 0 do
+                acc := ctx.parent_move.(!idx) :: !acc;
+                idx := ctx.parent_idx.(!idx)
+              done;
+              Some !acc
+            end
+          in
+          Goal (d, strategy)
+      | None, None -> Exhausted
+      | None, Some stopped -> Stopped (stopped, frontier_lower_bound ctx cur)
     in
-    match !result with
-    | Some (goal, d) ->
-        let strategy =
-          if not want_strategy then None
-          else begin
-            let acc = ref [] in
-            let idx = ref goal in
-            while !idx <> 0 do
-              acc := ctx.parent_move.(!idx) :: !acc;
-              idx := ctx.parent_idx.(!idx)
-            done;
-            Some !acc
-          end
-        in
-        finish (Solver.Optimal { cost = d; strategy; stats = stats ctx })
-    | None -> (
-        match ctx.stop with
-        | None ->
-            (* frontier exhausted: no goal state is reachable *)
-            finish (Solver.Unsolvable (stats ctx))
-        | Some stopped ->
-            let upper = if ctx.ub < max_int then Some ctx.ub else None in
-            let lb = frontier_lower_bound ctx cur in
-            (* clamp against the incumbent: an upper bound comes from
-               a concrete strategy, so OPT <= upper always holds *)
-            let lower =
-              match upper with Some u -> min lb u | None -> lb
-            in
-            finish
-              (Solver.Bounded
-                 {
-                   lower;
-                   upper;
-                   incumbent_strategy = None;
-                   stats = stats ctx;
-                   stopped;
-                 }))
+    let stats = stats ctx in
+    finish ~telemetry ~want_strategy ~incumbent ~t0
+      ~progress:(fun () -> progress ctx)
+      ~stats ~resizes:(T.resizes ctx.tbl)
+      ~peak_frontier:(max ctx.peak_frontier stats.Solver.frontier)
+      ending
 
   (* ================== parallel path =================== *)
   (* Level-synchronized 0-1 BFS over a hash-sharded state table.
@@ -483,7 +521,6 @@ module Make (G : Game.S) = struct
     mutable since_poll : int;
     mutable stop_seen : bool;
     mutable cur_gid : int;
-    mutable spill : Spill.t option;
     mutable dead : exn option;  (* a phase raised; idle the protocol out *)
     (* domain 0 only: telemetry cadence and the frontier high-water *)
     mutable next_emit : int;
@@ -576,7 +613,6 @@ module Make (G : Game.S) = struct
       since_poll = 0;
       stop_seen = false;
       cur_gid = 0;
-      spill = None;
       dead = None;
       next_emit = max_int;
       next_prune = max_int;
@@ -743,8 +779,9 @@ module Make (G : Game.S) = struct
     sh.pub_exp.(pd.id) <- pd.expansions;
     sh.pub_pruned.(pd.id) <- pd.pruned;
     sh.pub_ins.(pd.id) <- pd.inserted;
-    sh.pub_spillw.(pd.id) <-
-      (match pd.spill with Some sp -> Spill.words sp | None -> 0)
+    (* what the spill cap counts: the key and the distance of every
+       evicted state *)
+    sh.pub_spillw.(pd.id) <- (sh.p_width + 1) * pd.spilled
 
   let par_progress sh =
     let load = ref 0. in
@@ -864,24 +901,16 @@ module Make (G : Game.S) = struct
         clear_lanes sh pd
     | Finish_goal _ | Finish_stop _ | Finish_exhausted -> assert false
 
-  (* Spill work phase, at a level boundary: evict settled states of
-     every owned shard to the file-backed store, rebuild each shard
-     around its surviving tentative entries, and rewrite [next] against
-     the compacted indices (stale gids — settled this level — drop
-     out).  Sound because an evicted state is settled *and expanded*:
-     its successors were already relaxed, so re-reaching it later can
-     only waste work, never shorten a distance; and the certified
-     lower bound takes a min over tentative entries, which re-inserted
-     copies (at no-smaller values) cannot raise. *)
+  (* Spill work phase, at a level boundary: drop the settled states of
+     every owned shard from memory, rebuild each shard around its
+     surviving tentative entries, and rewrite [next] against the
+     compacted indices (stale gids — settled this level — drop out).
+     Sound because an evicted state is settled *and expanded*: its
+     successors were already relaxed, so re-reaching it later can only
+     waste work, never shorten a distance; and the certified lower
+     bound takes a min over tentative entries, which re-inserted copies
+     (at no-smaller values) cannot raise. *)
   let spill_phase sh pd =
-    let sp =
-      match pd.spill with
-      | Some s -> s
-      | None ->
-          let s = Spill.create ~width:sh.p_width () in
-          pd.spill <- Some s;
-          s
-    in
     let nshards = Sh.shards sh.tbl in
     let maps = Array.make nshards [||] in
     let s = ref pd.id in
@@ -898,12 +927,11 @@ module Make (G : Game.S) = struct
       let nf = T.create ~capacity:!surv ~width:sh.p_width () in
       for j = 0 to n - 1 do
         let v = T.value f j in
-        T.read_key f j pd.scratch;
-        if v >= 0 then map.(j) <- T.add nf pd.scratch v
-        else begin
-          Spill.append sp pd.scratch (lnot v);
-          pd.spilled <- pd.spilled + 1
+        if v >= 0 then begin
+          T.read_key f j pd.scratch;
+          map.(j) <- T.add nf pd.scratch v
         end
+        else pd.spilled <- pd.spilled + 1
       done;
       Sh.replace_shard sh.tbl !s nf;
       maps.(!s) <- map;
@@ -985,7 +1013,7 @@ module Make (G : Game.S) = struct
     done;
     if !best < max_int then !best else sh.doms.(0).level
 
-  let solve_par ~budget ~telemetry ~want_strategy ~prune ~jobs inst =
+  let solve_par ~budget ~telemetry ~want_strategy ~incumbent ~jobs inst =
     let w = G.width inst in
     let t0 = Clock.now () in
     let jobs = max 1 (min jobs par_shards) in
@@ -997,7 +1025,7 @@ module Make (G : Game.S) = struct
     in
     let tbl = Sh.create ~shards:par_shards ~width:w () in
     let nshards = Sh.shards tbl in
-    let ub = if prune then G.heuristic_ub inst else max_int in
+    let ub = match incumbent with Some (c, _) -> c | None -> max_int in
     let doms = Array.init jobs (mk_pd jobs w) in
     let sh =
       {
@@ -1063,25 +1091,15 @@ module Make (G : Game.S) = struct
     in
     let dec0 = domain_loop sh doms.(0) in
     Array.iter (fun d -> ignore (Domain.join d)) workers;
-    let total_spilled =
-      Array.fold_left (fun acc pd -> acc + pd.spilled) 0 doms
-    in
-    Array.iter
-      (fun pd -> match pd.spill with Some sp -> Spill.close sp | None -> ())
-      doms;
     Array.iter
       (fun pd -> match pd.dead with Some e -> raise e | None -> ())
       doms;
-    let texp = Array.fold_left (fun acc pd -> acc + pd.expansions) 0 doms in
-    let tpruned = Array.fold_left (fun acc pd -> acc + pd.pruned) 0 doms in
+    let count f = Array.fold_left (fun acc pd -> acc + f pd) 0 doms in
     let frontier =
-      Array.fold_left
-        (fun acc pd ->
-          acc
-          + Par.Ibuf.length pd.inbox
+      count (fun pd ->
+          Par.Ibuf.length pd.inbox
           + Par.Ibuf.length pd.next
           + max 0 (Par.Ibuf.length pd.pend - Atomic.get pd.cursor))
-        0 doms
     in
     let mem_words =
       let lanes = ref 0 in
@@ -1097,130 +1115,76 @@ module Make (G : Game.S) = struct
       Array.iter (fun p -> lanes := !lanes + Par.Ibuf.words p) sh.parents;
       Sh.words tbl + !lanes
     in
-    let tins =
-      1 + Array.fold_left (fun acc pd -> acc + pd.inserted) 0 doms
-    in
     let stats =
       {
-        (* distinct insertions including the seed — [Sh.length] would
-           under-count after spill eviction *)
-        Solver.explored = tins;
-        pruned = tpruned;
-        expansions = texp;
+        (* distinct insertions including the seed — the live shard
+           sizes would under-count after spill eviction *)
+        Solver.explored = 1 + count (fun pd -> pd.inserted);
+        pruned = count (fun pd -> pd.pruned);
+        expansions = count (fun pd -> pd.expansions);
         frontier;
         elapsed_s = Clock.elapsed_s t0;
         mem_words;
         prune_disabled = doms.(0).prune_disabled;
-        spilled = total_spilled;
+        spilled = count (fun pd -> pd.spilled);
       }
     in
-    let finish outcome =
-      (match telemetry with
-      | Some sink ->
-          let lo, up = Solver.interval outcome in
-          sink.emit
-            (Solver.Telemetry.Stop
-               {
-                 outcome = Solver.outcome_label outcome;
-                 progress =
-                   { (par_progress sh) with Solver.Telemetry.lower = lo;
-                     upper = up };
-               })
-      | None -> ());
-      if Metrics.enabled () then begin
-        Metrics.Counter.incr m_solves;
-        Metrics.Counter.add m_expansions texp;
-        Metrics.Counter.add m_explored stats.Solver.explored;
-        Metrics.Counter.add m_pruned tpruned;
-        let resizes = ref 0 in
-        for s = 0 to nshards - 1 do
-          resizes := !resizes + T.resizes (Sh.shard tbl s)
-        done;
-        Metrics.Counter.add m_table_resizes !resizes;
-        Metrics.Gauge.max_ m_peak_frontier
-          (float_of_int doms.(0).peak_frontier);
-        Metrics.Histogram.observe m_solve_seconds (Clock.elapsed_s t0);
-        (* per-domain view of the same solve: one labeled counter
-           family per metric, fed once at the end (the registry dedupes
-           registration, so this costs a lookup per domain per solve) *)
-        Array.iter
-          (fun pd ->
-            let labels = [ ("domain", string_of_int pd.id) ] in
-            Metrics.Counter.add
-              (Metrics.counter ~help:"states expanded, by engine domain"
-                 ~labels "prbp_engine_domain_expansions_total")
-              pd.expansions;
-            Metrics.Counter.add
-              (Metrics.counter
-                 ~help:"states cut by branch-and-bound, by owning domain"
-                 ~labels "prbp_engine_domain_pruned_total")
-              pd.pruned;
-            Metrics.Counter.add
-              (Metrics.counter
-                 ~help:"settled states evicted to the spill tier, by domain"
-                 ~labels "prbp_engine_domain_spilled_total")
-              pd.spilled)
-          doms
-      end;
-      if Span.enabled () then begin
-        Span.add_attr "outcome" (Solver.outcome_label outcome);
-        Span.add_attr "jobs" (string_of_int jobs);
-        Span.add_attr "expansions" (string_of_int texp);
-        Span.add_attr "explored" (string_of_int stats.Solver.explored);
-        if tpruned > 0 then Span.add_attr "pruned" (string_of_int tpruned);
-        if total_spilled > 0 then
-          Span.add_attr "spilled" (string_of_int total_spilled)
-      end;
-      outcome
+    let ending =
+      match dec0 with
+      | Finish_goal gid ->
+          let strategy =
+            if not want_strategy then None
+            else begin
+              let acc = ref [] in
+              let g = ref gid in
+              let continue = ref true in
+              while !continue do
+                let s = Sh.shard_of_handle tbl !g in
+                let j = Sh.index_of_handle tbl !g in
+                let pg = Par.Ibuf.get sh.parents.(s) j in
+                if pg < 0 then continue := false
+                else begin
+                  acc := Par.Vbuf.get sh.pmoves.(s) j :: !acc;
+                  g := pg
+                end
+              done;
+              Some !acc
+            end
+          in
+          Goal (doms.(0).level, strategy)
+      | Finish_exhausted -> Exhausted
+      | Finish_stop stopped -> Stopped (stopped, par_lower sh buf)
+      | Subround | Next_level | Spill -> assert false
     in
-    match dec0 with
-    | Finish_goal gid ->
-        let strategy =
-          if not want_strategy then None
-          else begin
-            let acc = ref [] in
-            let g = ref gid in
-            let continue = ref true in
-            while !continue do
-              let s = Sh.shard_of_handle tbl !g in
-              let j = Sh.index_of_handle tbl !g in
-              let pg = Par.Ibuf.get sh.parents.(s) j in
-              if pg < 0 then continue := false
-              else begin
-                acc := Par.Vbuf.get sh.pmoves.(s) j :: !acc;
-                g := pg
-              end
-            done;
-            Some !acc
-          end
-        in
-        finish (Solver.Optimal { cost = doms.(0).level; strategy; stats })
-    | Finish_exhausted -> finish (Solver.Unsolvable stats)
-    | Finish_stop stopped ->
-        let upper = if ub < max_int then Some ub else None in
-        let lb = par_lower sh buf in
-        let lower = match upper with Some u -> min lb u | None -> lb in
-        finish
-          (Solver.Bounded
-             { lower; upper; incumbent_strategy = None; stats; stopped })
-    | Subround | Next_level | Spill -> assert false
+    let resizes = ref 0 in
+    for s = 0 to nshards - 1 do
+      resizes := !resizes + T.resizes (Sh.shard tbl s)
+    done;
+    finish ~telemetry ~want_strategy ~incumbent ~t0
+      ~progress:(fun () -> par_progress sh)
+      ~stats ~resizes:!resizes ~peak_frontier:doms.(0).peak_frontier
+      ~domains:(Array.map (fun pd -> (pd.expansions, pd.pruned, pd.spilled)) doms)
+      ending
 
   (* Every solve runs inside a "solve.<game>" span (a no-op branch
-     when tracing is off); the finish paths annotate it with the
-     outcome and search counters.  [jobs <= 1] without a spill tier
-     keeps the sequential engine — its pop order (depth-first along
-     0-cost chains) is the low-overhead default; [jobs >= 2], or a
-     spill request, routes to the level-synchronized parallel path. *)
+     when tracing is off); [finish] annotates it with the outcome and
+     search counters.  The incumbent is computed before the span and
+     the solve's clock start, as a separate step of the request.
+     [jobs <= 1] without a spill tier keeps the sequential engine — its
+     pop order (depth-first along 0-cost chains) is the low-overhead
+     default; [jobs >= 2], or a spill request, routes to the
+     level-synchronized parallel path. *)
   let solve ?(budget = Solver.Budget.default) ?telemetry
       ?(want_strategy = false) ?(prune = true) ?(jobs = 1) inst =
     let jobs = max 1 jobs in
     let spill_requested =
       budget.Solver.Budget.spill_words <> None && not want_strategy
     in
+    let incumbent = if prune then G.incumbent inst else None in
     let go () =
       if jobs <= 1 && not spill_requested then
-        solve_raw ~budget ?telemetry ~want_strategy ~prune inst
-      else solve_par ~budget ~telemetry ~want_strategy ~prune ~jobs inst
+        solve_raw ~budget ~telemetry ~want_strategy ~incumbent inst
+      else solve_par ~budget ~telemetry ~want_strategy ~incumbent ~jobs inst
     in
     if not (Span.enabled ()) then go ()
     else

@@ -11,8 +11,8 @@
     sees the final distance, so stale queue entries are skipped on the
     sign alone.  Branch-and-bound prunes any {e new} state whose
     distance plus the game's admissible residual bound exceeds the
-    heuristic upper-bound seed; this never changes the optimum, only
-    the explored count.
+    cost of the game's {!Game.S.incumbent}; this never changes the
+    optimum, only the explored count.
 
     {!Make.solve} is the single entry point: it honours a
     {!Solver.Budget} (state cap, wall-clock deadline, memory estimate,
@@ -35,13 +35,16 @@ module Make (G : Game.S) : sig
       ({!Solver.Optimal}), the reachable space is exhausted
       ({!Solver.Unsolvable}), or [budget] (default
       {!Solver.Budget.default}) stops the search ({!Solver.Bounded},
-      with the frontier-distance lower bound and the branch-and-bound
-      incumbent as the certified interval).  [want_strategy] (default
-      off) additionally reconstructs one optimal move sequence through
-      the parent arrays — strategy bookkeeping is strictly opt-in and
-      is the only consumer of the parent arrays, which stay
-      unallocated otherwise.  [prune] (default on) arms
-      branch-and-bound with [G.heuristic_ub].  [telemetry] receives
+      with the frontier-distance lower bound, clamped to the
+      incumbent's cost, and the incumbent's cost as the certified
+      interval).  [want_strategy] (default off) additionally
+      reconstructs one optimal move sequence through the parent arrays,
+      and attaches the incumbent's moves to a {!Solver.Bounded} outcome
+      — strategy bookkeeping is strictly opt-in and is the only
+      consumer of the parent arrays, which stay unallocated otherwise.
+      [prune] (default on) computes [G.incumbent] once, before the
+      search, and arms branch-and-bound with its cost; without [prune]
+      there is no incumbent and no upper bound.  [telemetry] receives
       start/progress/prune/stop events; [None] keeps the hot loop
       allocation-free.
 
@@ -56,7 +59,12 @@ module Make (G : Game.S) : sig
       and may differ from [jobs = 1] on truncated runs).  A budget
       with {!Solver.Budget.spill_words} also routes through this path
       — even at [jobs = 1] — so a solve that outgrows [max_words]
-      degrades to evicting settled states to disk instead of stopping,
-      unless [want_strategy] is set (spilling would orphan the parent
-      pointers; such solves stop at [max_words] as before). *)
+      degrades to dropping its settled states from memory instead of
+      stopping (re-reaching one costs re-exploration, never
+      soundness), unless [want_strategy] is set (eviction would orphan
+      the parent pointers; such solves stop at [max_words] as
+      before).  The sequential and the parallel search return through
+      one exit, which builds the outcome, emits the [Stop] event,
+      publishes the end-of-solve metrics and annotates the solve
+      span. *)
 end

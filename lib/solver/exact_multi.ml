@@ -47,7 +47,7 @@ module GR = struct
     sinks : int;
     sources : int;
     srcs : int array;
-    ub : int;
+    dag : Dag.t;
   }
 
   type move = Multi.Move.rbp
@@ -88,7 +88,13 @@ module GR = struct
       inst.srcs;
     !lb
 
-  let heuristic_ub inst = inst.ub
+  (* Any single-processor strategy is a p-processor strategy played
+     entirely on processor 0 ({!Multi.lift_rbp}), so OPT_p ≤ OPT_1 ≤
+     the single-processor heuristic's cost. *)
+  let incumbent inst =
+    Option.map
+      (fun (c, moves) -> (c, Multi.lift_rbp moves))
+      (Heuristic.rbp_incumbent ~r:inst.cfg.Multi.r inst.dag)
 
   let obsolete inst blue comp v =
     inst.succ_mask.(v) land lnot comp = 0
@@ -156,23 +162,7 @@ end
 
 module ER = Engine.Make (GR)
 
-(* Any single-processor strategy is a p-processor strategy played
-   entirely on processor 0 ({!Multi.lift_rbp}), so OPT_p ≤ OPT_1 ≤
-   heuristic cost: the single-processor heuristic seeds the bound and
-   its lifted strategy is the incumbent attached to [Bounded]. *)
-let rbp_heuristic_seed (cfg : Multi.config) g =
-  match Heuristic.rbp ~r:cfg.Multi.r g with
-  | moves ->
-      let c =
-        List.fold_left
-          (fun acc (m : Prbp_pebble.Move.R.t) ->
-            match m with Load _ | Save _ -> acc + 1 | _ -> acc)
-          0 moves
-      in
-      Some (c, moves)
-  | exception _ -> None
-
-let rbp_inst ~canon ~ub (cfg : Multi.config) g =
+let rbp_inst ~canon (cfg : Multi.config) g =
   check_cfg ~what:"Exact_multi (rbp)" cfg;
   let n = Dag.n_nodes g in
   if n > 62 then invalid_arg "Exact_multi (rbp): at most 62 nodes";
@@ -187,33 +177,14 @@ let rbp_inst ~canon ~ub (cfg : Multi.config) g =
     sources =
       List.fold_left (fun acc v -> acc lor (1 lsl v)) 0 (Dag.sources g);
     srcs = Array.of_list (Dag.sources g);
-    ub;
+    dag = g;
   }
 
-(* Shared outcome plumbing for both multiprocessor games: seed the
-   bound, disable processor-canonicalization when a replayable strategy
-   is wanted, lift the single-processor incumbent onto processor 0 when
-   the budget truncates the search. *)
-let solve_with ~engine_solve ~inst ~seed ~lift ?budget ?telemetry
-    ?(want_strategy = false) ~prune ?jobs () =
-  let ub = match seed with Some (c, _) -> c | None -> max_int in
-  let outcome =
-    engine_solve ?budget ?telemetry ~want_strategy ~prune ?jobs
-      (inst ~canon:(not want_strategy) ~ub)
-  in
-  (* move lists are strictly opt-in, incumbent included *)
-  match (outcome, seed) with
-  | Solver.Bounded b, Some (_, moves) when want_strategy ->
-      Solver.Bounded { b with Solver.incumbent_strategy = Some (lift moves) }
-  | _ -> outcome
-
-let rbp_solve ?budget ?telemetry ?want_strategy ?(prune = true) ?jobs cfg g =
-  solve_with
-    ~engine_solve:(fun ?budget ?telemetry ~want_strategy ~prune ?jobs i ->
-      ER.solve ?budget ?telemetry ~want_strategy ~prune ?jobs i)
-    ~inst:(fun ~canon ~ub -> rbp_inst ~canon ~ub cfg g)
-    ~seed:(if prune then rbp_heuristic_seed cfg g else None)
-    ~lift:Multi.lift_rbp ?budget ?telemetry ?want_strategy ~prune ?jobs ()
+(* A replayable strategy names concrete processors, so it switches the
+   processor canonicalization off. *)
+let rbp_solve ?budget ?telemetry ?(want_strategy = false) ?prune ?jobs cfg g =
+  ER.solve ?budget ?telemetry ~want_strategy ?prune ?jobs
+    (rbp_inst ~canon:(not want_strategy) cfg g)
 
 (* {1 PRBP-MC} *)
 
@@ -229,7 +200,7 @@ module GP = struct
     sink_mask : int;
     source_mask : int;
     full_edges : int;
-    ub : int;
+    dag : Dag.t;
   }
 
   type move = Multi.Move.prbp
@@ -271,7 +242,12 @@ module GP = struct
       inst.source_mask;
     !lb
 
-  let heuristic_ub inst = inst.ub
+  (* the single-processor heuristics lifted onto processor 0, as for
+     RBP-MC *)
+  let incumbent inst =
+    Option.map
+      (fun (c, moves) -> (c, Multi.lift_prbp moves))
+      (Heuristic.prbp_incumbent ~r:inst.cfg.Multi.r inst.dag)
 
   let canonicalize inst scratch =
     (* sort the (light_q, dark_q) pairs lexicographically *)
@@ -392,26 +368,7 @@ end
 
 module EP = Engine.Make (GP)
 
-let prbp_heuristic_seed (cfg : Multi.config) g =
-  let io_count moves =
-    List.fold_left
-      (fun acc (m : Prbp_pebble.Move.P.t) ->
-        match m with Load _ | Save _ -> acc + 1 | _ -> acc)
-      0 moves
-  in
-  let try_one pebbler =
-    match pebbler ~r:cfg.Multi.r g with
-    | moves -> Some (io_count moves, moves)
-    | exception _ -> None
-  in
-  match
-    ( try_one (fun ~r g -> Heuristic.prbp ~r g),
-      try_one (fun ~r g -> Heuristic.prbp_greedy ~r g) )
-  with
-  | None, s | s, None -> s
-  | (Some (ca, _) as a), (Some (cb, _) as b) -> if ca <= cb then a else b
-
-let prbp_inst ~canon ~ub (cfg : Multi.config) g =
+let prbp_inst ~canon (cfg : Multi.config) g =
   check_cfg ~what:"Exact_multi (prbp)" cfg;
   let n = Dag.n_nodes g and m = Dag.n_edges g in
   if n > 62 then invalid_arg "Exact_multi (prbp): at most 62 nodes";
@@ -438,13 +395,9 @@ let prbp_inst ~canon ~ub (cfg : Multi.config) g =
     source_mask =
       List.fold_left (fun acc v -> acc lor (1 lsl v)) 0 (Dag.sources g);
     full_edges = (if m = 0 then 0 else (1 lsl m) - 1);
-    ub;
+    dag = g;
   }
 
-let prbp_solve ?budget ?telemetry ?want_strategy ?(prune = true) ?jobs cfg g =
-  solve_with
-    ~engine_solve:(fun ?budget ?telemetry ~want_strategy ~prune ?jobs i ->
-      EP.solve ?budget ?telemetry ~want_strategy ~prune ?jobs i)
-    ~inst:(fun ~canon ~ub -> prbp_inst ~canon ~ub cfg g)
-    ~seed:(if prune then prbp_heuristic_seed cfg g else None)
-    ~lift:Multi.lift_prbp ?budget ?telemetry ?want_strategy ~prune ?jobs ()
+let prbp_solve ?budget ?telemetry ?(want_strategy = false) ?prune ?jobs cfg g =
+  EP.solve ?budget ?telemetry ~want_strategy ?prune ?jobs
+    (prbp_inst ~canon:(not want_strategy) cfg g)

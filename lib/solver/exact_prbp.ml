@@ -28,7 +28,7 @@ module G = struct
     source_mask : int;
     full_edges : int;
     init_pack : int;
-    ub : int;
+    dag : Dag.t;
   }
 
   type move = PM.t
@@ -80,7 +80,13 @@ module G = struct
       inst.source_mask;
     !lb
 
-  let heuristic_ub inst = inst.ub
+  (* Both heuristic pebblers play the standard one-shot game, legal in
+     every variant except no-delete (re-computation only adds moves),
+     so their cost bounds OPT from above there; the no-delete variant
+     has no incumbent. *)
+  let incumbent inst =
+    if inst.cfg.Prbp.no_delete then None
+    else Heuristic.prbp_incumbent ~r:inst.cfg.Prbp.r inst.dag
 
   let expand inst cur ~scratch ~emit =
     let pack = cur.(0) and marked = cur.(1) in
@@ -166,36 +172,7 @@ end
 
 module E = Engine.Make (G)
 
-(* Branch-and-bound incumbent: the cheaper of the two heuristic
-   pebblers, with its strategy.  Both play the standard one-shot game,
-   legal in every variant except no-delete (re-computation only adds
-   moves), so their cost bounds OPT from above there; in the no-delete
-   variant (or if the heuristics cannot run, e.g. r < 2) pruning is
-   disabled. *)
-let heuristic_seed cfg g =
-  if cfg.Prbp.no_delete then None
-  else begin
-    let io_count moves =
-      List.fold_left
-        (fun acc m ->
-          match m with PM.Load _ | PM.Save _ -> acc + 1 | _ -> acc)
-        0 moves
-    in
-    let try_one pebbler =
-      match pebbler ~r:cfg.Prbp.r g with
-      | moves -> Some (io_count moves, moves)
-      | exception _ -> None
-    in
-    match
-      ( try_one (fun ~r g -> Heuristic.prbp ~r g),
-        try_one (fun ~r g -> Heuristic.prbp_greedy ~r g) )
-    with
-    | None, s | s, None -> s
-    | (Some (ca, _) as a), (Some (cb, _) as b) ->
-        if ca <= cb then a else b
-  end
-
-let inst ~eager_deletes ~ub cfg g =
+let inst ~eager_deletes cfg g =
   let n = Dag.n_nodes g and m = Dag.n_edges g in
   if n > 31 then invalid_arg "Exact_prbp: at most 31 nodes";
   if m > 62 then invalid_arg "Exact_prbp: at most 62 edges";
@@ -231,19 +208,10 @@ let inst ~eager_deletes ~ub cfg g =
     source_mask = !source_mask;
     full_edges = (if m = 0 then 0 else (1 lsl m) - 1);
     init_pack = !init_pack;
-    ub;
+    dag = g;
   }
 
-let solve ?budget ?telemetry ?(want_strategy = false) ?(prune = true)
-    ?(eager_deletes = false) ?jobs cfg g =
-  let seed = if prune then heuristic_seed cfg g else None in
-  let ub = match seed with Some (c, _) -> c | None -> max_int in
-  let outcome =
-    E.solve ?budget ?telemetry ~want_strategy ~prune ?jobs
-      (inst ~eager_deletes ~ub cfg g)
-  in
-  (* move lists are strictly opt-in, incumbent included *)
-  match (outcome, seed) with
-  | Solver.Bounded b, Some (_, moves) when want_strategy ->
-      Solver.Bounded { b with Solver.incumbent_strategy = Some moves }
-  | _ -> outcome
+let solve ?budget ?telemetry ?want_strategy ?prune ?(eager_deletes = false)
+    ?jobs cfg g =
+  E.solve ?budget ?telemetry ?want_strategy ?prune ?jobs
+    (inst ~eager_deletes cfg g)

@@ -17,7 +17,7 @@ module G = struct
     sinks : int;
     sources : int;
     srcs : int array;  (* source nodes, for the residual lower bound *)
-    ub : int;
+    dag : Dag.t;
   }
 
   type move = RM.t
@@ -53,7 +53,13 @@ module G = struct
         inst.srcs;
     !lb
 
-  let heuristic_ub inst = inst.ub
+  (* The Belady pebbler plays the standard one-shot game, whose move
+     set is legal in every variant except no-delete (sliding and
+     re-computation only relax the rules), so its cost bounds OPT from
+     above there; the no-delete variant has no incumbent. *)
+  let incumbent inst =
+    if inst.cfg.Rbp.no_delete then None
+    else Heuristic.rbp_incumbent ~r:inst.cfg.Rbp.r inst.dag
 
   (* A value may be deleted (or need not be saved) once it can never
      be used again: all successors computed and, for sinks, already
@@ -132,27 +138,7 @@ end
 
 module E = Engine.Make (G)
 
-(* Branch-and-bound incumbent: a heuristic strategy and its I/O count.
-   The Belady pebbler plays the standard one-shot game, whose move set
-   is legal in every variant except no-delete (sliding and
-   re-computation only relax the rules), so its cost bounds OPT from
-   above there; in the no-delete variant (or when the heuristic cannot
-   run at all, e.g. r < Δin + 1) pruning is disabled. *)
-let heuristic_seed cfg g =
-  if cfg.Rbp.no_delete then None
-  else
-    match Heuristic.rbp ~r:cfg.Rbp.r g with
-    | moves ->
-        let c =
-          List.fold_left
-            (fun acc m ->
-              match m with RM.Load _ | RM.Save _ -> acc + 1 | _ -> acc)
-            0 moves
-        in
-        Some (c, moves)
-    | exception _ -> None
-
-let inst ~eager_deletes ~ub cfg g =
+let inst ~eager_deletes cfg g =
   let n = Dag.n_nodes g in
   if n > 62 then invalid_arg "Exact_rbp: at most 62 nodes";
   let mask_of fold v = fold (fun u acc -> acc lor (1 lsl u)) g v 0 in
@@ -166,19 +152,10 @@ let inst ~eager_deletes ~ub cfg g =
     sources =
       List.fold_left (fun acc v -> acc lor (1 lsl v)) 0 (Dag.sources g);
     srcs = Array.of_list (Dag.sources g);
-    ub;
+    dag = g;
   }
 
-let solve ?budget ?telemetry ?(want_strategy = false) ?(prune = true)
-    ?(eager_deletes = false) ?jobs cfg g =
-  let seed = if prune then heuristic_seed cfg g else None in
-  let ub = match seed with Some (c, _) -> c | None -> max_int in
-  let outcome =
-    E.solve ?budget ?telemetry ~want_strategy ~prune ?jobs
-      (inst ~eager_deletes ~ub cfg g)
-  in
-  (* move lists are strictly opt-in, incumbent included *)
-  match (outcome, seed) with
-  | Solver.Bounded b, Some (_, moves) when want_strategy ->
-      Solver.Bounded { b with Solver.incumbent_strategy = Some moves }
-  | _ -> outcome
+let solve ?budget ?telemetry ?want_strategy ?prune ?(eager_deletes = false)
+    ?jobs cfg g =
+  E.solve ?budget ?telemetry ?want_strategy ?prune ?jobs
+    (inst ~eager_deletes cfg g)

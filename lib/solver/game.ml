@@ -13,7 +13,7 @@ module type S = sig
 
   val residual_lb : inst -> int array -> int
 
-  val heuristic_ub : inst -> int
+  val incumbent : inst -> (int * move list) option
 
   val dummy_move : move
 

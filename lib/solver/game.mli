@@ -9,10 +9,11 @@
     [GAME] instance supplies the packing (a state is [width]
     consecutive ints in a caller-owned buffer), the initial state, the
     terminality test, the successor enumeration with 0/1 costs, an
-    admissible residual lower bound, and a heuristic upper-bound seed
-    for branch-and-bound.  {!Engine.Make} supplies everything else:
-    the open-addressing state table, the 0-1 BFS deque, settled-state
-    encoding, pruning, and optimal-trace reconstruction.
+    admissible residual lower bound, and an incumbent strategy for
+    branch-and-bound.  {!Engine.Make} supplies everything else: the
+    open-addressing state table, the 0-1 BFS deque, settled-state
+    encoding, pruning, the incumbent's use as seed and certificate,
+    and optimal-trace reconstruction.
 
     States are flat ints rather than a type parameter so that the hot
     path never boxes: the engine hands games [int array] scratch
@@ -53,10 +54,14 @@ module type S = sig
       and by the certified lower bound of truncated
       ({!Solver.Bounded}) outcomes. *)
 
-  val heuristic_ub : inst -> int
-  (** Upper-bound seed for branch-and-bound — the cost of any valid
-      strategy (typically a heuristic pebbler's), or [max_int] to
-      disable pruning for this instance. *)
+  val incumbent : inst -> (int * move list) option
+  (** A complete valid strategy and its cost (typically a heuristic
+      pebbler's), or [None] when the game has none for this instance.
+      The engine calls it once per pruned solve, before the search
+      starts: the cost seeds branch-and-bound and is the upper bound of
+      a truncated ({!Solver.Bounded}) outcome, which carries the moves
+      as its [incumbent_strategy] when a strategy was requested.
+      [None] disables pruning. *)
 
   val dummy_move : move
   (** Array-initialization filler; never reported. *)

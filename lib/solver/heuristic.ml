@@ -372,3 +372,23 @@ let prbp_best_cost ~r g =
   match Prbp.check (Prbp.config ~r ()) g (prbp_best ~r g) with
   | Ok c -> c
   | Error e -> failwith ("Heuristic.prbp_best_cost: " ^ e)
+
+(* ------------------------------------------------------------------ *)
+(* Branch-and-bound incumbents for the exact engine: a strategy and its
+   I/O count, or [None] where the pebbler cannot run (e.g. r < Δin + 1
+   for RBP, r < 2 for PRBP). *)
+
+let incumbent is_io pebbler =
+  match pebbler () with
+  | moves -> Some (List.length (List.filter is_io moves), moves)
+  | exception _ -> None
+
+let rbp_incumbent ~r g = incumbent RM.is_io (fun () -> rbp ~r g)
+
+let prbp_incumbent ~r g =
+  match
+    ( incumbent PM.is_io (fun () -> prbp ~r g),
+      incumbent PM.is_io (fun () -> prbp_greedy ~r g) )
+  with
+  | None, s | s, None -> s
+  | (Some (ca, _) as a), (Some (cb, _) as b) -> if ca <= cb then a else b

@@ -78,3 +78,15 @@ val prbp_best : r:int -> Prbp_dag.Dag.t -> Prbp_pebble.Move.P.t list
 (** The cheaper of {!prbp} (Belady) and {!prbp_greedy}. *)
 
 val prbp_best_cost : r:int -> Prbp_dag.Dag.t -> int
+
+val rbp_incumbent :
+  r:int -> Prbp_dag.Dag.t -> (int * Prbp_pebble.Move.R.t list) option
+(** {!rbp} (Belady) with its I/O count, or [None] when it cannot run
+    ([r < Δin + 1]) — the exact engine's branch-and-bound seed for RBP
+    and, lifted onto processor 0, for RBP-MC. *)
+
+val prbp_incumbent :
+  r:int -> Prbp_dag.Dag.t -> (int * Prbp_pebble.Move.P.t list) option
+(** The cheaper of {!prbp} (Belady) and {!prbp_greedy} with its I/O
+    count (ties keep {!prbp}), or [None] when neither runs ([r < 2]) —
+    the exact engine's seed for PRBP and, lifted, for PRBP-MC. *)

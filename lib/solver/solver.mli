@@ -37,13 +37,15 @@ module Budget : sig
     check_every : int;
         (** expansions between deadline/memory/cancellation polls *)
     spill_words : int option;
-        (** when set, a solve that hits [max_words] evicts settled
-            states to a file-backed spill tier ({!Spill}) instead of
-            stopping, and keeps searching until the spill tier itself
-            reaches this many words (then {!Max_words} applies).
-            Degrades throughput, never soundness.  Incompatible with
-            strategy reconstruction: a [want_strategy] solve ignores
-            it and stops at [max_words] as before *)
+        (** when set, a solve that hits [max_words] evicts its settled,
+            expanded states from memory instead of stopping (nothing
+            is written anywhere: a state reached again is simply
+            re-explored), and keeps searching until the evicted states
+            reach this many words, counted as [width + 1] per state
+            (then {!Max_words} applies).  Degrades throughput, never
+            soundness.  Incompatible with strategy reconstruction: a
+            [want_strategy] solve ignores it and stops at [max_words]
+            as before *)
     prune_off_after : int;
         (** expansions of zero branch-and-bound prunes after which the
             engine stops paying for the residual bound check (the
@@ -107,7 +109,7 @@ type stats = {
           mid-solve ({!Budget.t.prune_off_after} expansions passed with
           zero prunes) *)
   spilled : int;
-      (** settled states evicted to the file-backed spill tier
+      (** settled states evicted from memory by the spill tier
           ({!Budget.t.spill_words}); 0 unless spilling was enabled and
           triggered *)
 }

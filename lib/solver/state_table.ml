@@ -282,20 +282,15 @@ end
    shard — partitioning by low bits would leave every shard probing a
    sublattice of its slot array and lengthen linear-probe runs.
 
-   Two access disciplines coexist:
-   - {e owner-routed} (the parallel engine): each domain touches only
-     [shard t k] for its own [k], with cross-domain hand-off through
-     message buffers and barriers.  No locks on the hot path.
-   - {e synchronized} ([find]/[add]/[find_or_add]/[value]/...): any
-     domain, any key, one mutex per shard.  This is the general-purpose
-     concurrent-map surface (and what the contention stress test
-     hammers); handles pack (dense index, shard) into one int. *)
+   Access is owner-routed: each domain of the parallel engine touches
+   only [shard t k] for its own [k], with cross-domain hand-off through
+   message buffers and barriers, so no shard needs a lock.  Handles
+   pack (dense index, shard) into one int. *)
 module Sharded = struct
   type t = {
     width : int;
     bits : int;  (* log2 of the shard count *)
     tables : Flat.t array;
-    locks : Mutex.t array;
   }
 
   let max_bits = 12
@@ -317,10 +312,7 @@ module Sharded = struct
       width;
       bits = !bits;
       tables = Array.init n (fun _ -> Flat.create ~capacity ~width ());
-      locks = Array.init n (fun _ -> Mutex.create ());
     }
-
-  let width t = t.width
 
   let shards t = Array.length t.tables
 
@@ -337,11 +329,7 @@ module Sharded = struct
       invalid_arg "State_table.Sharded.replace_shard: width mismatch";
     t.tables.(i) <- f
 
-  let length t = Array.fold_left (fun acc f -> acc + Flat.length f) 0 t.tables
-
-  let words t =
-    (* the mutexes and the spine are noise next to the key columns *)
-    Array.fold_left (fun acc f -> acc + Flat.words f) 0 t.tables
+  let words t = Array.fold_left (fun acc f -> acc + Flat.words f) 0 t.tables
 
   (* -- packed handles: (dense index lsl bits) lor shard ------------- *)
 
@@ -350,51 +338,4 @@ module Sharded = struct
   let[@inline] shard_of_handle t h = h land (Array.length t.tables - 1)
 
   let[@inline] index_of_handle t h = h lsr t.bits
-
-  (* -- synchronized surface ----------------------------------------- *)
-
-  let[@inline] with_shard t s f =
-    let l = t.locks.(s) in
-    Mutex.lock l;
-    match f t.tables.(s) with
-    | v ->
-        Mutex.unlock l;
-        v
-    | exception e ->
-        Mutex.unlock l;
-        raise e
-
-  let find t k =
-    let s = owner t k in
-    with_shard t s (fun f ->
-        let j = Flat.find f k in
-        if j < 0 then -1 else handle t ~shard:s j)
-
-  let add t k value =
-    let s = owner t k in
-    with_shard t s (fun f -> handle t ~shard:s (Flat.add f k value))
-
-  (* Atomic find-or-insert: the lookup and the insert happen under the
-     same shard lock, so two domains racing on a fresh key agree on
-     one dense index. *)
-  let find_or_add t k value =
-    let s = owner t k in
-    with_shard t s (fun f ->
-        let j = Flat.find f k in
-        if j >= 0 then (handle t ~shard:s j, false)
-        else (handle t ~shard:s (Flat.add f k value), true))
-
-  let value t h =
-    let s = shard_of_handle t h in
-    with_shard t s (fun f -> Flat.value f (index_of_handle t h))
-
-  let set_value t h x =
-    let s = shard_of_handle t h in
-    with_shard t s (fun f -> Flat.set_value f (index_of_handle t h) x)
-
-  let read_key t h buf =
-    let s = shard_of_handle t h in
-    with_shard t s (fun f -> Flat.read_key f (index_of_handle t h) buf)
-
-  let reset t = Array.iter Flat.reset t.tables
 end

@@ -73,13 +73,10 @@ end
     (top bits of the shared probe hash), so domains can partition work
     without communication.
 
-    Two access disciplines:
-    - {e owner-routed}: a domain touches only [shard t k] for the [k]
-      it owns (what the parallel {!Engine} does — lock-free, its
-      barrier protocol supplies the synchronization);
-    - {e synchronized}: [find]/[add]/[find_or_add]/[value]/... take a
-      per-shard mutex and are safe from any domain.  Handles pack
-      (dense index, shard) into one int. *)
+    Access is owner-routed: a domain touches only [shard t k] for the
+    [k] it owns, which is what the parallel {!Engine} does; its barrier
+    protocol supplies the synchronization, so nothing here locks.
+    Handles pack (dense index, shard) into one int. *)
 module Sharded : sig
   type t
 
@@ -87,25 +84,19 @@ module Sharded : sig
   (** [shards] (default 1, max 4096) is rounded up to a power of
       two. *)
 
-  val width : t -> int
-
   val shards : t -> int
   (** The actual (power-of-two) shard count. *)
 
   val owner : t -> int array -> int
-  (** Owner shard of a key — pure, no lock. *)
+  (** Owner shard of a key — pure. *)
 
   val shard : t -> int -> Flat.t
-  (** Direct access to one shard for owner-routed use.  Unsynchronized:
-      only the owning domain may touch it between barriers. *)
+  (** Direct access to one shard.  Unsynchronized: only the owning
+      domain may touch it between barriers. *)
 
   val replace_shard : t -> int -> Flat.t -> unit
   (** Swap a rebuilt shard in (spill compaction).  Owner-only, same
       discipline as {!shard}; the replacement's width must match. *)
-
-  val length : t -> int
-  (** Total keys across shards (unsynchronized sum; exact when
-      quiescent). *)
 
   val words : t -> int
   (** Total heap words across shards. *)
@@ -116,24 +107,4 @@ module Sharded : sig
   val shard_of_handle : t -> int -> int
 
   val index_of_handle : t -> int -> int
-
-  val find : t -> int array -> int
-  (** Global handle of the key, or [-1].  Locks the owner shard. *)
-
-  val add : t -> int array -> int -> int
-  (** Insert a key known to be absent; global handle.  Locks. *)
-
-  val find_or_add : t -> int array -> int -> int * bool
-  (** [find_or_add t k v] is [(handle, fresh)]: lookup and insert
-      happen under one lock acquisition, so racing domains agree on a
-      single handle per key. *)
-
-  val value : t -> int -> int
-  (** By global handle.  Locks. *)
-
-  val set_value : t -> int -> int -> unit
-
-  val read_key : t -> int -> int array -> unit
-
-  val reset : t -> unit
 end

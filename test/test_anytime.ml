@@ -133,7 +133,7 @@ module Toy = struct
 
     let residual_lb () buf = res.(buf.(0))
 
-    let heuristic_ub () = max_int
+    let incumbent () = None
 
     let expand () cur ~scratch ~emit =
       List.iter

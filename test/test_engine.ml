@@ -250,6 +250,147 @@ let qcheck_multi_p1 =
       | Some mr, Some sr, Some mp, Some sp -> mr = sr && mp = sp
       | _ -> true)
 
+(* --- engine golden ----------------------------------------------------
+   One line per solve pins every deterministic output of the engine:
+   the seven pinned instances of the [exact] benchmark workload at
+   jobs 1 and 2 and, with a strategy, at jobs 1; a state-capped
+   strategy solve whose Bounded outcome carries the heuristic
+   incumbent; and the two spill-tier solves of tree(2,3).  Each line
+   holds the outcome's status, interval and stop reason, the search
+   counters, the moves when present, and the interval of the terminal
+   Stop event.  Elapsed times are left out, and so is [mem_words] at
+   jobs >= 2, where lane growth follows chunk stealing. *)
+
+let json_str s = "\"" ^ String.escaped s ^ "\""
+
+let json_opt f = function Some x -> f x | None -> "null"
+
+let describe ~jobs show oc =
+  let st = S.stats_of oc in
+  let lower, upper, stopped, moves =
+    match oc with
+    | S.Optimal o -> (Some o.S.cost, Some o.S.cost, None, o.S.strategy)
+    | S.Bounded b ->
+        (Some b.S.lower, b.S.upper, Some b.S.stopped, b.S.incumbent_strategy)
+    | S.Unsolvable _ -> (None, None, None, None)
+  in
+  String.concat ","
+    ([
+       Printf.sprintf "\"status\":%s" (json_str (S.outcome_label oc));
+       Printf.sprintf "\"lower\":%s" (json_opt string_of_int lower);
+       Printf.sprintf "\"upper\":%s" (json_opt string_of_int upper);
+       Printf.sprintf "\"stopped\":%s"
+         (json_opt (fun r -> json_str (S.reason_label r)) stopped);
+       Printf.sprintf "\"explored\":%d" st.S.explored;
+       Printf.sprintf "\"expansions\":%d" st.S.expansions;
+       Printf.sprintf "\"pruned\":%d" st.S.pruned;
+       Printf.sprintf "\"frontier\":%d" st.S.frontier;
+       Printf.sprintf "\"prune_disabled\":%b" st.S.prune_disabled;
+       Printf.sprintf "\"spilled\":%d" st.S.spilled;
+     ]
+    @ (if jobs = 1 then [ Printf.sprintf "\"mem_words\":%d" st.S.mem_words ]
+       else [])
+    @
+    match moves with
+    | Some ms ->
+        [
+          Printf.sprintf "\"moves\":[%s]"
+            (String.concat "," (List.map (fun m -> json_str (show m)) ms));
+        ]
+    | None -> [])
+
+let show_black = function
+  | Prbp.Black.Place v -> Printf.sprintf "place %d" v
+  | Prbp.Black.Slide (u, v) -> Printf.sprintf "slide %d->%d" u v
+  | Prbp.Black.Remove v -> Printf.sprintf "remove %d" v
+
+(* name and one solve through the game's public entry point, as the
+   [exact] workload builds it *)
+let engine_instances =
+  let tree23 () = (Prbp.Graphs.Tree.make ~k:2 ~depth:3).Prbp.Graphs.Tree.dag in
+  let random ~seed ~layers ~width =
+    Prbp.Graphs.Random_dag.make ~seed ~max_in_degree:2 ~layers ~width ()
+  in
+  let prbp g ~budget ~telemetry ~want_strategy ~jobs =
+    describe ~jobs Prbp.Move.P.to_string
+      (Prbp.Exact_prbp.solve ~budget ~telemetry ~want_strategy ~jobs (pcfg 3)
+         (g ()))
+  in
+  let show_mp = Format.asprintf "%a" Prbp.Multi.Move.pp_prbp in
+  let show_mr = Format.asprintf "%a" Prbp.Multi.Move.pp_rbp in
+  [
+    ("prbp tree(2,3) r=3", prbp tree23);
+    ( "prbp random(g17,5x2,din2) r=3",
+      prbp (fun () -> random ~seed:17 ~layers:5 ~width:2) );
+    ( "prbp random(g99,4x3,din2) r=3",
+      prbp (fun () -> random ~seed:99 ~layers:4 ~width:3) );
+    ( "rbp pyramid(5) r=3",
+      fun ~budget ~telemetry ~want_strategy ~jobs ->
+        describe ~jobs Prbp.Move.R.to_string
+          (Prbp.Exact_rbp.solve ~budget ~telemetry ~want_strategy ~jobs (rcfg 3)
+             (Prbp.Graphs.Basic.pyramid 5)) );
+    ( "black pyramid(6) s=6",
+      fun ~budget ~telemetry ~want_strategy ~jobs ->
+        describe ~jobs show_black
+          (Prbp.Black.solve ~budget ~telemetry ~want_strategy ~jobs ~s:6
+             (Prbp.Graphs.Basic.pyramid 6)) );
+    ( "multi-prbp fig1 p=2 r=3",
+      fun ~budget ~telemetry ~want_strategy ~jobs ->
+        describe ~jobs show_mp
+          (Prbp.Exact_multi.prbp_solve ~budget ~telemetry ~want_strategy ~jobs
+             (mcfg ~p:2 ~r:3)
+             (fst (Prbp.Graphs.Fig1.full ()))) );
+    ( "multi-rbp pyramid(3) p=2 r=3",
+      fun ~budget ~telemetry ~want_strategy ~jobs ->
+        describe ~jobs show_mr
+          (Prbp.Exact_multi.rbp_solve ~budget ~telemetry ~want_strategy ~jobs
+             (mcfg ~p:2 ~r:3) (Prbp.Graphs.Basic.pyramid 3)) );
+  ]
+
+let engine_golden () =
+  let line ?(tag = "") (name, run) ~budget ~want_strategy ~jobs =
+    let stop = ref "null" in
+    let telemetry =
+      S.Telemetry.make (function
+        | S.Telemetry.Stop { progress = p; _ } ->
+            stop :=
+              Printf.sprintf "[%d,%s]" p.S.Telemetry.lower
+                (json_opt string_of_int p.S.Telemetry.upper)
+        | _ -> ())
+    in
+    let body = run ~budget ~telemetry ~want_strategy ~jobs in
+    Printf.sprintf "{\"case\":%s,\"jobs\":%d,\"want_strategy\":%b,%s,\"stop\":%s}"
+      (json_str (name ^ tag))
+      jobs want_strategy body !stop
+  in
+  let workload = S.Budget.states 30_000_000 in
+  let tree = List.hd engine_instances in
+  List.concat_map
+    (fun i ->
+      [
+        line i ~budget:workload ~want_strategy:false ~jobs:1;
+        line i ~budget:workload ~want_strategy:false ~jobs:2;
+        line i ~budget:workload ~want_strategy:true ~jobs:1;
+      ])
+    engine_instances
+  @ List.concat_map
+      (fun (tag, budget, want_strategy) ->
+        [
+          line ~tag tree ~budget ~want_strategy ~jobs:1;
+          line ~tag tree ~budget ~want_strategy ~jobs:2;
+        ])
+      [
+        (" max_states=3000", S.Budget.states 3_000, true);
+        ( " max_words=250000 spill_words=50000000",
+          S.Budget.v ~max_words:250_000 ~spill_words:50_000_000 (),
+          false );
+        ( " max_words=60000 spill_words=100000",
+          S.Budget.v ~max_words:60_000 ~spill_words:100_000 (),
+          false );
+      ]
+
+let test_engine_golden () = check_golden "engine_v1.jsonl" (engine_golden ())
+
 let suite =
   [
     ( "engine",
@@ -264,5 +405,6 @@ let suite =
         case "generic threshold probe" test_thresholds_generic;
         case "unified Bounded outcomes" test_bounded_unified;
         qcheck_multi_p1;
+        case "outputs match the engine golden" test_engine_golden;
       ] );
   ]

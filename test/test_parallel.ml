@@ -1,10 +1,11 @@
 (* The multicore engine (Engine.Make at jobs >= 2): jobs-equivalence
    of optima, determinism of truncated-run certificates across domain
-   counts, the sharded state table under real contention, the
-   file-backed spill tier, the prune auto-off switch, and the
-   harness-level jobs composition. *)
+   counts, the sharded state table's owner routing and handles, the
+   spill tier, the prune auto-off switch, and the harness-level jobs
+   composition. *)
 
 open Test_util
+module Flat = Prbp_solver.State_table.Flat
 module Sharded = Prbp_solver.State_table.Sharded
 module Clock = Prbp.Obs.Clock
 
@@ -110,62 +111,45 @@ let fake_clock_deterministic () =
         (a.S.stats.S.elapsed_s = 0.0 && c.S.stats.S.elapsed_s = 0.0)
   | _ -> Alcotest.fail "expected Optimal outcomes"
 
-(* --- the sharded table under contention ---------------------------- *)
+(* --- the sharded table ---------------------------------------------- *)
 
 let key_of buf k =
   buf.(0) <- k * 0x9e37;
   buf.(1) <- k lxor 0x5bd1e995
 
-let sharded_stress () =
-  let t = Sharded.create ~shards:8 ~width:2 () in
-  let jobs = 4 in
-  let per = 4_000 in
-  (* worker [id] inserts keys [id*per/2, id*per/2 + per): every key is
-     attempted by two workers, so [find_or_add] must dedup under racing
-     insertions while the shards resize underneath *)
-  let worker id () =
-    let buf = [| 0; 0 |] and back = [| 0; 0 |] in
-    let fresh = ref 0 in
-    for i = 0 to per - 1 do
-      let k = (id * per / 2) + i in
-      key_of buf k;
-      let h, is_fresh = Sharded.find_or_add t buf k in
-      if is_fresh then incr fresh;
-      Sharded.read_key t h back;
-      if back.(0) <> buf.(0) || back.(1) <> buf.(1) then
-        failwith "read_key mismatch"
-    done;
-    !fresh
-  in
-  let helpers =
-    Array.init (jobs - 1) (fun i -> Domain.spawn (worker (i + 1)))
-  in
-  let fresh0 = worker 0 () in
-  let fresh = Array.fold_left (fun a d -> a + Domain.join d) fresh0 helpers in
-  let distinct = (3 * per / 2) + per in
-  check_int "distinct keys in the table" distinct (Sharded.length t);
-  check_int "each key fresh exactly once" distinct fresh;
-  let buf = [| 0; 0 |] in
-  for k = 0 to distinct - 1 do
-    key_of buf k;
-    if Sharded.find t buf < 0 then Alcotest.failf "key %d lost" k
-  done
-
+(* The owner-routed surface the parallel engine uses: each key goes
+   into its owner shard, and the packed handle leads back to it. *)
 let sharded_handles () =
   let t = Sharded.create ~shards:4 ~width:2 () in
-  let buf = [| 0; 0 |] in
-  for k = 0 to 499 do
-    key_of buf k;
-    let h = Sharded.add t buf (2 * k) in
-    (* handles pack (index, shard) and must round-trip *)
-    let s = Sharded.shard_of_handle t h in
-    let j = Sharded.index_of_handle t h in
-    check_int "handle round-trip" h (Sharded.handle t ~shard:s j);
-    check_int "value by handle" (2 * k) (Sharded.value t h)
-  done;
-  check_int "length" 500 (Sharded.length t);
-  Sharded.reset t;
-  check_int "reset empties every shard" 0 (Sharded.length t)
+  check_int "shard count" 4 (Sharded.shards t);
+  let buf = [| 0; 0 |] and back = [| 0; 0 |] in
+  let handles =
+    Array.init 500 (fun k ->
+        key_of buf k;
+        let s = Sharded.owner t buf in
+        Sharded.handle t ~shard:s (Flat.add (Sharded.shard t s) buf (2 * k)))
+  in
+  Array.iteri
+    (fun k h ->
+      (* handles pack (index, shard) and must round-trip *)
+      let s = Sharded.shard_of_handle t h in
+      let j = Sharded.index_of_handle t h in
+      check_int "handle round-trip" h (Sharded.handle t ~shard:s j);
+      key_of buf k;
+      check_int "handle names the owner shard" (Sharded.owner t buf) s;
+      let f = Sharded.shard t s in
+      check_int "value by handle" (2 * k) (Flat.value f j);
+      Flat.read_key f j back;
+      check_true "key by handle" (back = buf))
+    handles;
+  let shards = List.init 4 (Sharded.shard t) in
+  check_int "length" 500
+    (List.fold_left (fun acc f -> acc + Flat.length f) 0 shards);
+  check_true "every shard owns keys"
+    (List.for_all (fun f -> Flat.length f > 0) shards);
+  check_int "words sum the shards"
+    (List.fold_left (fun acc f -> acc + Flat.words f) 0 shards)
+    (Sharded.words t)
 
 (* --- spill tier ----------------------------------------------------- *)
 
@@ -302,7 +286,6 @@ let suite =
         case "bounded runs are jobs-deterministic" bounded_deterministic;
         case "stats deterministic under a fake clock"
           fake_clock_deterministic;
-        case "sharded table: 4-domain find_or_add stress" sharded_stress;
         case "sharded table: handle round-trips" sharded_handles;
         slow_case "spill tier reaches the optimum" spill_reaches_optimum;
         case "spill tier degrades to a sound interval"

@@ -1079,6 +1079,77 @@ let test_serve_streamed_failures () =
   Alcotest.(check string) "streamed black: the unstreamed body" plain.body
     streamed.body
 
+(* A bracket restricted to some lower rules is a different certificate
+   from the unrestricted one: the rule set joins the cache key, in
+   sorted, deduplicated form. *)
+let test_serve_rules_key_the_cache () =
+  with_server @@ fun port ->
+  let g = Prbp.Graphs.Basic.pyramid 3 in
+  let bracket ?rules () =
+    post ~port "/v1/bracket"
+      (Wire.encode_request
+         (Wire.request ~want_strategy:true ?rules ~kind:Wire.Bracket
+            ~game:Wire.Prbp ~r:2 g))
+  in
+  let rule_labels (reply : reply) =
+    match decode_served Wire.Bracket reply.body with
+    | Bracket b -> List.map fst b.Wire.rules
+    | _ -> Alcotest.fail "bracket did not decode"
+  in
+  let restricted = bracket ~rules:[ "trivial" ] () in
+  check_int "restricted: status" 200 restricted.status;
+  Alcotest.(check string) "restricted: miss" "miss" (cache_status restricted);
+  Alcotest.(check (list string)) "restricted: only trivial ran" [ "trivial" ]
+    (rule_labels restricted);
+  let full = bracket () in
+  Alcotest.(check string) "unrestricted: miss" "miss" (cache_status full);
+  check_true "unrestricted: more than trivial ran"
+    (List.length (rule_labels full) > 1);
+  let repeated = bracket ~rules:[ "trivial"; "trivial" ] () in
+  Alcotest.(check string) "same rule set, repeated name: hit" "hit"
+    (cache_status repeated);
+  Alcotest.(check string) "hit is the restricted miss" restricted.body
+    repeated.body;
+  List.iter
+    (fun (what, (reply : reply)) ->
+      check_replays what g (decode_served Wire.Bracket reply.body))
+    [ ("restricted", restricted); ("unrestricted", full); ("repeated", repeated) ]
+
+(* An unregistered rule name is misuse: a coded 400 before the cache is
+   consulted or a byte is written, streamed or not, and nothing is
+   cached for it. *)
+let test_serve_unknown_rule () =
+  with_server @@ fun port ->
+  let g = Dag.make ~n:4 diamond_edges in
+  let bracket ?rules ?stream () =
+    post ~port "/v1/bracket"
+      (Wire.encode_request
+         (Wire.request ?rules ?stream ~kind:Wire.Bracket ~game:Wire.Rbp ~r:3 g))
+  in
+  let message =
+    Printf.sprintf "unknown lower rule %S (registered: %s)" "no-such-rule"
+      (String.concat ", " (Prbp.Bounds.Lower.names ()))
+  in
+  List.iter
+    (fun (what, (reply : reply)) ->
+      check_int (what ^ ": 400") 400 reply.status;
+      Alcotest.(check (option string))
+        (what ^ ": coded invalid-argument") (Some "invalid-argument")
+        (Wire.decode_error_code reply.body);
+      Alcotest.(check (option string))
+        (what ^ ": the rule check's message") (Some message)
+        (Wire.decode_error reply.body);
+      Alcotest.(check (option string))
+        (what ^ ": not chunked") None
+        (List.assoc_opt "transfer-encoding" reply.headers))
+    [
+      ("plain", bracket ~rules:[ "no-such-rule" ] ());
+      ("streamed", bracket ~rules:[ "trivial"; "no-such-rule" ] ~stream:true ());
+    ];
+  let valid = bracket () in
+  check_int "valid request: 200" 200 valid.status;
+  Alcotest.(check string) "valid request: miss" "miss" (cache_status valid)
+
 let suite =
   [
     ( "serve",
@@ -1107,5 +1178,9 @@ let suite =
         slow_case "serve: one certificate path" test_serve_certificate_path;
         slow_case "serve: streamed failures end cleanly"
           test_serve_streamed_failures;
+        slow_case "serve: lower-rule sets key the cache"
+          test_serve_rules_key_the_cache;
+        slow_case "serve: unknown lower rules are refused"
+          test_serve_unknown_rule;
       ] );
   ]
