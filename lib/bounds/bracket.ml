@@ -18,7 +18,6 @@ type t = {
   width : int;
   moves : moves;
   meth : Upper.meth;
-  verified : [ `Literal | `Engine ];
   profile : Segment.t option;
   tight : bool;
   elapsed_s : float;
@@ -152,7 +151,7 @@ let run ?(budget = Solver.Budget.default) ?telemetry ?rules ~game ~r
       stage ~name:"bracket.upper" m_stage_upper (fun () ->
           let u = upper_portfolio ~budget:upper_budget ~on_improve ~r g in
           (match u with
-          | Ok (cost, _, meth, _) ->
+          | Ok (cost, _, meth) ->
               Span.add_attr "method" (Upper.meth_label meth);
               Span.add_attr "cost" (string_of_int cost)
           | Error _ -> ());
@@ -178,7 +177,7 @@ let run ?(budget = Solver.Budget.default) ?telemetry ?rules ~game ~r
             in
             if l2.Lower.bound > lower.Lower.bound then begin
               (match upper_result with
-              | Ok (cost, _, _, _) ->
+              | Ok (cost, _, _) ->
                   sight ~lower:l2.Lower.bound ~upper:(Some cost)
               | Error _ -> ());
               l2
@@ -188,7 +187,7 @@ let run ?(budget = Solver.Budget.default) ?telemetry ?rules ~game ~r
     in
     match upper_result with
     | Error e -> finish "unsolvable" ~lower:max_int ~upper:None (Error e)
-    | Ok (upper, moves, meth, verified) ->
+    | Ok (upper, moves, meth) ->
         if lower.Lower.bound > upper then
           (* both sides are independently certified, so this cannot
              happen unless a rule is unsound — refuse to report it *)
@@ -221,7 +220,6 @@ let run ?(budget = Solver.Budget.default) ?telemetry ?rules ~game ~r
                    width = upper - lower.Lower.bound;
                    moves;
                    meth;
-                   verified;
                    profile;
                    tight;
                    elapsed_s;
@@ -245,7 +243,7 @@ let rbp ?budget ?telemetry ?rules ~r g =
     ~upper_portfolio:(fun ~budget ~on_improve ~r g ->
       Result.map
         (fun (u : _ Upper.t) ->
-          (u.Upper.cost, Rbp_moves u.Upper.moves, u.Upper.meth, u.Upper.verified))
+          (u.Upper.cost, Rbp_moves u.Upper.moves, u.Upper.meth))
         (Upper.rbp ~budget ~on_improve ~r g))
     ~profile_flavor:Segment.Spartition g
 
@@ -254,7 +252,7 @@ let prbp ?budget ?telemetry ?rules ~r g =
     ~upper_portfolio:(fun ~budget ~on_improve ~r g ->
       Result.map
         (fun (u : _ Upper.t) ->
-          (u.Upper.cost, Prbp_moves u.Upper.moves, u.Upper.meth, u.Upper.verified))
+          (u.Upper.cost, Prbp_moves u.Upper.moves, u.Upper.meth))
         (Upper.prbp ~budget ~on_improve ~r g))
     ~profile_flavor:Segment.Dominator g
 

@@ -8,8 +8,9 @@
     constructive {!Segment} partition profile of the DAG at cache size
     [2r].  Each certificate re-validates independently — {!Segment}
     re-checks partitions through {!Prbp_partition.Spart}, {!Upper}
-    replays strategies through {!Prbp_pebble.Verifier} — so a bracket
-    is trustworthy even where the exact solvers cannot reach.
+    replays every strategy through the literal rules of
+    {!Prbp_pebble.Verifier} at any DAG size — so a bracket is
+    trustworthy even where the exact solvers cannot reach.
 
     Where the exact solvers {e can} reach, a bracket must contain the
     optimum; the test suite and experiment E31 enforce exactly that. *)
@@ -25,11 +26,11 @@ type t = {
   n : int;  (** nodes of the bracketed DAG *)
   m : int;  (** edges *)
   lower : Lower.t;  (** best certified lower bound, with its rule *)
-  upper : int;  (** certified cost of [moves] *)
+  upper : int;
+      (** cost of [moves], certified by {!Prbp_pebble.Verifier} *)
   width : int;  (** [upper − lower.bound], the interval width *)
   moves : moves;
   meth : Upper.meth;  (** how the winning strategy was found *)
-  verified : [ `Literal | `Engine ];  (** which checker certified it *)
   profile : Segment.t option;
       (** constructive partition of the DAG at [s = 2r] (validated);
           [None] on very large DAGs, when no partition exists, or when

@@ -18,7 +18,6 @@ type t = {
   width : int;
   moves : moves;
   meth : Upper.meth;
-  verified : [ `Literal | `Engine ];
   tight : bool;
   elapsed_s : float;
 }
@@ -101,7 +100,6 @@ let run ?(budget = Solver.Budget.default) ?rules ~game ~p ~r ~upper_fn
                     width = cost - lo.Lower.bound;
                     moves = wrap lifted;
                     meth;
-                    verified = `Literal;
                     tight = lo.Lower.bound = cost;
                     elapsed_s = Clock.elapsed_s t0;
                   }))

@@ -45,9 +45,8 @@ type t = {
   width : int;  (** [upper − lower.bound] *)
   moves : moves;
   meth : Upper.meth;
-  verified : [ `Literal | `Engine ];
-      (** always [`Literal]: the {!Prbp_pebble.Multi} rule engines are
-          the literal checkers of the multiprocessor games *)
+      (** how the single-processor strategy was found; {!Upper}
+          certified it through {!Prbp_pebble.Verifier} before the lift *)
   tight : bool;
   elapsed_s : float;
 }

@@ -26,38 +26,7 @@ let meth_label m =
   ^ (if m.reorder_seed <> None then "+reorder" else "")
   ^ if m.optimized then "+opt" else ""
 
-type 'm t = {
-  cost : int;
-  moves : 'm list;
-  meth : meth;
-  verified : [ `Literal | `Engine ];
-}
-
-(* The literal verifier keeps whole states as sorted lists — fine up to
-   a few thousand edges and a few ten-thousand moves; beyond that, the
-   optimized engine's rule checker is the independent certifier. *)
-let literal_ok g moves =
-  Dag.n_edges g <= 4000 && List.length moves <= 20_000
-
-let verify_rbp ~r g moves =
-  if literal_ok g moves then
-    match Verifier.R.check ~r g moves with
-    | Ok c -> Ok (c, `Literal)
-    | Error e -> Error e
-  else
-    match Rbp_engine.check (Rbp_engine.config ~r ()) g moves with
-    | Ok c -> Ok (c, `Engine)
-    | Error e -> Error e
-
-let verify_prbp ~r g moves =
-  if literal_ok g moves then
-    match Verifier.P.check ~r g moves with
-    | Ok c -> Ok (c, `Literal)
-    | Error e -> Error e
-  else
-    match Prbp_engine.check (Prbp_engine.config ~r ()) g moves with
-    | Ok c -> Ok (c, `Engine)
-    | Error e -> Error e
+type 'm t = { cost : int; moves : 'm list; meth : meth }
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic order perturbation: a Lehmer LCG drives adjacent
@@ -109,13 +78,13 @@ let run_portfolio ~verify ~clock ~on_improve ~base_candidates ~reorder
   let consider meth moves =
     match verify moves with
     | Error _ -> ()
-    | Ok (cost, verified) -> (
+    | Ok cost -> (
         Metrics.Counter.incr m_accepted;
         Span.add_attr "cost" (string_of_int cost);
         match !best with
         | Some b when b.cost <= cost -> ()
         | _ ->
-            best := Some { cost; moves; meth; verified };
+            best := Some { cost; moves; meth };
             Span.add_attr "improved" "true";
             on_improve cost meth)
   in
@@ -301,7 +270,7 @@ let rbp ?(budget = Solver.Budget.default) ?(on_improve = fun _ _ -> ())
           (fun s -> Heuristic.rbp ~policy:Heuristic.Belady ~order:(perturb g base s) ~r g)
       else None
     in
-    run_portfolio ~verify:(verify_rbp ~r g) ~clock ~on_improve ~base_candidates
+    run_portfolio ~verify:(Verifier.R.check ~r g) ~clock ~on_improve ~base_candidates
       ~reorder
       ~optimize:(fun moves -> Optimize.rbp (Rbp_engine.config ~r ()) g moves)
 
@@ -334,6 +303,6 @@ let prbp ?(budget = Solver.Budget.default) ?(on_improve = fun _ _ -> ())
             Heuristic.prbp ~policy:Heuristic.Belady ~order:(perturb g base s) ~r g)
       else None
     in
-    run_portfolio ~verify:(verify_prbp ~r g) ~clock ~on_improve
+    run_portfolio ~verify:(Verifier.P.check ~r g) ~clock ~on_improve
       ~base_candidates ~reorder
       ~optimize:(fun moves -> Optimize.prbp (Prbp_engine.config ~r ()) g moves)

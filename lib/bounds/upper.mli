@@ -1,13 +1,13 @@
 (** Certified I/O upper bounds: local search over heuristic strategies.
 
     A candidate strategy's cost is {e never} taken from the pebbler
-    that produced it: every candidate is replayed through an
-    independent rule checker — {!Prbp_pebble.Verifier} (the literal,
-    paper-transcribed rules) at small scale, the optimized engine's own
-    [check] beyond the verifier's comfortable range — and a candidate
-    the checker rejects is dropped from the portfolio, not repaired.
-    The returned cost is therefore the certified cost of a complete
-    pebbling whose move list is included as the certificate.
+    that produced it: every candidate, at every DAG size, is replayed
+    through {!Prbp_pebble.Verifier} — the literal, paper-transcribed
+    rules, which share no code with the engines that produce and
+    optimize strategies — and a candidate the checker rejects is
+    dropped from the portfolio, not repaired.  The returned cost is
+    therefore the certified cost of a complete pebbling whose move
+    list is included as the certificate.
 
     The portfolio, per game, in the order it runs:
 
@@ -48,12 +48,9 @@ val meth_label : meth -> string
 (** E.g. ["belady+reorder+opt"]. *)
 
 type 'm t = {
-  cost : int;  (** certified by independent replay *)
+  cost : int;  (** certified by replay through {!Prbp_pebble.Verifier} *)
   moves : 'm list;  (** the complete pebbling achieving [cost] *)
   meth : meth;
-  verified : [ `Literal | `Engine ];
-      (** which checker certified it: the literal {!Prbp_pebble.Verifier}
-          or the optimized engine's [check] *)
 }
 
 val banded_order : Prbp_dag.Dag.t -> h:int -> Prbp_dag.Dag.node array

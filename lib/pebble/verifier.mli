@@ -1,23 +1,33 @@
-(** Independent re-implementation of the game rules, for differential
-    testing.
+(** Independent re-implementation of the game rules: the certificate
+    checker of every upper bound, and the reference the engines are
+    tested against.
 
     {!Rbp} and {!Prbp} are optimized mutable engines (bitsets, counter
     caches).  This module re-implements the Section-1 and Section-3
     transition rules a second time in the most literal way possible —
-    persistent maps, no caches, every precondition spelled out next to
-    the sentence of the paper it comes from.  The test-suite drives
-    both implementations with the same (legal and illegal) move
-    sequences and requires identical verdicts, states and costs, so a
-    bug would have to be introduced twice, in two different shapes, to
-    go unnoticed. *)
+    a state is a handful of persistent integer sets (RBP: the red,
+    blue and computed nodes; PRBP: the blue, light-red and dark-red
+    nodes and the marked edge ids), with no counters or other caches,
+    and every precondition spelled out next to the sentence of the
+    paper it comes from.  It shares no code with {!Rbp}, {!Prbp} or
+    {!Multi}.  A move costs O(deg · log n) set operations, plus an
+    O(r) count of the red pebbles when it places a new one, so a
+    strategy checks in time near-linear in its length at any DAG size.
+    {!R.step} and {!P.step} are pure: the state passed in stays valid,
+    so a caller can probe every candidate move from one state.
+
+    The test-suite drives both implementations with the same (legal
+    and illegal) move sequences and requires identical verdicts,
+    states and costs, so a bug would have to be introduced twice, in
+    two different shapes, to go unnoticed. *)
 
 (** Literal RBP checker. *)
 module R : sig
   type state = {
-    red : int list;  (** sorted *)
-    blue : int list;  (** sorted *)
-    computed : int list;  (** sorted *)
-    io : int;
+    red : Set.Make(Int).t;
+    blue : Set.Make(Int).t;
+    computed : Set.Make(Int).t;  (** nodes computed once already *)
+    io : int;  (** loads and saves so far *)
   }
 
   val initial : Prbp_dag.Dag.t -> state
@@ -36,17 +46,16 @@ module R : sig
       final state to be {!is_terminal}; [Ok cost] is the certified I/O
       cost of a {e complete} pebbling.  This is the independent
       certificate checker used by the bounds subsystem: a strategy cost
-      is believed only after this (or the engine's own [check]) accepts
-      the full move list. *)
+      is believed only after this accepts the full move list. *)
 end
 
 (** Literal PRBP checker. *)
 module P : sig
-  type pebble = No_pebble | Blue_only | Blue_and_light | Dark_only
-
   type state = {
-    pebbles : (int * pebble) list;  (** sorted by node; total *)
-    marked : (int * int) list;  (** sorted edge list *)
+    blue : Set.Make(Int).t;  (** nodes with a blue pebble *)
+    light : Set.Make(Int).t;  (** nodes with a light red pebble (all blue) *)
+    dark : Set.Make(Int).t;  (** nodes with a dark red pebble (none blue) *)
+    marked : Set.Make(Int).t;  (** marked edge ids *)
     io : int;
   }
 

@@ -307,8 +307,9 @@ let cache_key (rq : Wire.request) ~dag_hash budget_part =
 
 (* ------------------------------------------------------------------ *)
 (* Re-verification: a cached certificate is replayed through the
-   literal game checkers against the request's DAG before it is
-   served.  [Some cost] = the strategy is valid and costs [cost]. *)
+   games' own checkers ([Rbp.check], [Prbp.check], [Multi.*.check])
+   against the request's DAG before it is served.  [Some cost] = the
+   strategy is valid and costs [cost]. *)
 
 let checked_cost ~(rq : Wire.request) g strategy =
   let r = rq.r in

@@ -21,7 +21,7 @@
       isomorphic relabelings of a DAG share entries.  A cached entry is relabeled
       back to the request's labels as a whole (one permutation, also
       for every point of a frontier), and each witness it carries is
-      {b re-verified} through the literal game checkers at the cost it
+      {b re-verified} through the games' own checkers at the cost it
       claims before being served; if any fails, the entry is dropped
       and the request recomputed.  Proven-optimal solves, tight
       brackets and settled frontiers are cached budget-independently

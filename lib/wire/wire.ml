@@ -667,7 +667,7 @@ let bracket_of ?family ?(with_moves = false) (b : Bracket.t) =
     lower_rule = b.lower.Lower.rule;
     upper = b.upper;
     upper_rule = Upper.meth_label b.meth;
-    verifier = (match b.verified with `Literal -> "literal" | `Engine -> "engine");
+    verifier = "literal";
     tight = b.tight;
     width = b.width;
     rules = b.lower.Lower.evaluated;

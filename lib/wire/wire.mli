@@ -184,7 +184,9 @@ type bracket = {
   lower_rule : string;
   upper : int;
   upper_rule : string;
-  verifier : string;  (** ["literal"] | ["engine"] *)
+  verifier : string;
+      (** the checker that certified [upper]; {!bracket_of} writes
+          ["literal"] ({!Prbp_pebble.Verifier}) *)
   tight : bool;
   width : int;
   rules : (string * int) list;  (** per-rule attribution, (label, bound) *)

@@ -158,6 +158,129 @@ let prop_prbp_walk =
         candidates;
       !ok && Prbp.Prbp_game.io_cost eng = !vstate.V.P.io)
 
+(* Differential verdicts on the upper-bound portfolio's base candidates
+   and on in-range mutants of each: the literal checker and the
+   engine's [check] must return the same cost or both reject, and
+   [agree_*] must hold, so the first rejected move agrees too.
+   Inputs: random DAGs of four shapes, fft:8 and tree(2,3). *)
+let portfolio_dag shape seed =
+  let rd = Prbp.Graphs.Random_dag.make ~seed in
+  match shape with
+  | 0 -> rd ~layers:3 ~width:3 ()
+  | 1 -> rd ~layers:4 ~width:2 ~density:0.5 ()
+  | 2 -> rd ~layers:2 ~width:5 ~density:0.6 ()
+  | 3 -> rd ~layers:5 ~width:2 ~density:0.2 ~max_in_degree:2 ()
+  | 4 -> (Prbp.Graphs.Fft.make ~m:8).Prbp.Graphs.Fft.dag
+  | _ -> (Prbp.Graphs.Tree.make ~k:2 ~depth:3).Prbp.Graphs.Tree.dag
+
+let policies = Prbp.Heuristic.[ Belady; Lru; Fifo ]
+
+let banded g =
+  List.map (fun h -> Prbp.Bounds.Upper.banded_order g ~h) [ 1; 2; 3 ]
+
+let rbp_portfolio ~r g =
+  List.map (fun policy -> Prbp.Heuristic.rbp ~policy ~r g) policies
+  @ List.map (fun order -> Prbp.Heuristic.rbp ~order ~r g) (banded g)
+
+let prbp_portfolio ~r g =
+  List.concat_map
+    (fun policy ->
+      [
+        Prbp.Heuristic.prbp ~policy ~r g;
+        Prbp.Heuristic.prbp ~policy ~defer_saves:true ~r g;
+      ])
+    policies
+  @ List.map (fun order -> Prbp.Heuristic.prbp ~order ~r g) (banded g)
+  @ [ Prbp.Heuristic.prbp_greedy ~r g ]
+
+(* The strategy itself, then one mutant per kind: drop a move,
+   duplicate one, swap two adjacent ones, retarget one ([retarget]
+   picks another in-range node or edge) and cut off the tail.  Every
+   strategy here has at least two moves, so each position drawn has a
+   successor. *)
+let mutants rng ~retarget moves =
+  let a = Array.of_list moves in
+  let pos () = Random.State.int rng (Array.length a - 1) in
+  let edit f =
+    let i = pos () in
+    List.concat (List.mapi (f i) moves)
+  in
+  [
+    moves;
+    edit (fun i j m -> if j = i then [] else [ m ]);
+    edit (fun i j m -> if j = i then [ m; m ] else [ m ]);
+    edit (fun i j m ->
+        if j = i then [ a.(i + 1) ] else if j = i + 1 then [ a.(i) ] else [ m ]);
+    edit (fun i j m -> if j = i then [ retarget rng m ] else [ m ]);
+    (let i = pos () in
+     List.filteri (fun j _ -> j <= i) moves);
+  ]
+
+(* another node than [v], in range *)
+let other_node rng g v =
+  let n = Dag.n_nodes g in
+  (v + 1 + Random.State.int rng (n - 1)) mod n
+
+let retarget_r g rng = function
+  | R.Load v -> R.Load (other_node rng g v)
+  | R.Save v -> R.Save (other_node rng g v)
+  | R.Compute v -> R.Compute (other_node rng g v)
+  | R.Delete v -> R.Delete (other_node rng g v)
+  | R.Slide _ as m -> m
+
+let retarget_p g rng = function
+  | P.Load v -> P.Load (other_node rng g v)
+  | P.Save v -> P.Save (other_node rng g v)
+  | P.Delete v -> P.Delete (other_node rng g v)
+  | P.Compute (u, v) ->
+      let e = Random.State.int rng (Dag.n_edges g) in
+      let e = if Dag.edge_id g u v = e then (e + 1) mod Dag.n_edges g else e in
+      P.Compute (Dag.edge_src g e, Dag.edge_dst g e)
+  | P.Clear _ as m -> m
+
+let same_verdict a b =
+  match (a, b) with
+  | Ok x, Ok y -> x = y
+  | Error _, Error _ -> true
+  | _ -> false
+
+let differential_gen =
+  QCheck.(triple (int_range 0 5) (int_range 1 10_000) (int_range 0 2))
+
+let prop_rbp_portfolio =
+  qcase ~count:100 "literal RBP checker agrees on portfolio strategies and mutants"
+    differential_gen
+    (fun (shape, seed, dr) ->
+      let g = portfolio_dag shape seed in
+      let r = Dag.max_in_degree g + 1 + dr in
+      let rng = Random.State.make [| shape; seed; dr |] in
+      List.for_all
+        (fun ms ->
+          List.for_all
+            (fun ms ->
+              same_verdict (V.R.check ~r g ms)
+                (Prbp.Rbp.check (Prbp.Rbp.config ~r ()) g ms)
+              && V.agree_rbp ~r g ms = Ok ())
+            (mutants rng ~retarget:(retarget_r g) ms))
+        (rbp_portfolio ~r g))
+
+let prop_prbp_portfolio =
+  qcase ~count:100 "literal PRBP checker agrees on portfolio strategies and mutants"
+    differential_gen
+    (fun (shape, seed, dr) ->
+      let g = portfolio_dag shape seed in
+      let r = 2 + dr in
+      let rng = Random.State.make [| shape; seed; dr |] in
+      List.for_all
+        (fun ms ->
+          List.for_all
+            (fun ms ->
+              same_verdict (V.P.check ~r g ms)
+                (Prbp.Prbp_game.check (Prbp.Prbp_game.config ~r ()) g ms)
+              && V.agree_prbp ~r g ms = Ok ())
+            (mutants rng ~retarget:(retarget_p g) ms))
+        (prbp_portfolio ~r g))
+
 let suite =
   [
     ( "verifier",
@@ -168,5 +291,7 @@ let suite =
         case "literal rejections" test_verifier_rejects;
         prop_rbp_walk;
         prop_prbp_walk;
+        prop_rbp_portfolio;
+        prop_prbp_portfolio;
       ] );
   ]
