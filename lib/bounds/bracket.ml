@@ -91,8 +91,6 @@ let make_profile ~flavor g ~s =
   if Dag.n_nodes g > profile_gate then None
   else match Segment.greedy ~flavor g ~s with Ok seg -> Some seg | Error _ -> None
 
-(* The leftover wall clock after [t0], under the run's total
-   [max_millis]; [None] when the budget is unbounded. *)
 let ms_left (budget : Solver.Budget.t) t0 =
   Option.map
     (fun ms -> ms - int_of_float (Clock.elapsed_s t0 *. 1000.))

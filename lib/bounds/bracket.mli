@@ -87,3 +87,18 @@ val prbp :
 
 val pp : Format.formatter -> t -> unit
 (** One-line human summary. *)
+
+(** {1 Budget split}
+
+    Shared with {!Multi_bounds}, whose brackets split their budget the
+    same way. *)
+
+val scale_budget :
+  Prbp_solver.Solver.Budget.t -> float -> Prbp_solver.Solver.Budget.t
+(** [scale_budget b frac] is [b] with its wall-clock deadline scaled by
+    [frac] (at least 1 ms); an unbounded budget stays unbounded. *)
+
+val ms_left : Prbp_solver.Solver.Budget.t -> float -> int option
+(** [ms_left b t0]: the milliseconds left of [b]'s deadline, counted
+    from the {!Prbp_obs.Clock.now} reading [t0] (negative once it has
+    passed); [None] when the budget is unbounded. *)

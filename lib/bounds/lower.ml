@@ -1,4 +1,5 @@
 module Dag = Prbp_dag.Dag
+module Bitset = Prbp_dag.Bitset
 module Solver = Prbp_solver.Solver
 module Minpart = Prbp_partition.Minpart
 module Closed_form = Prbp_graphs.Closed_form
@@ -79,8 +80,24 @@ let slice (budget : Solver.Budget.t) ~share ~total =
           budget.Solver.Budget.max_millis;
     }
 
-let compute ?(budget = Solver.Budget.default) ?rules ~game ~r g =
+(* An isolated node starts blue, is a sink that is already blue, and
+   needs no move in either game, so removing it leaves every optimum
+   unchanged.  The paper's theorems assume no isolated node, and the
+   partition rules would count one as a class of its own, so the rules
+   run on the DAG without them; the family tag stays. *)
+let without_isolated g =
+  if not (Dag.has_isolated_nodes g) then g
+  else begin
+    let keep = Bitset.create (Dag.n_nodes g) in
+    for v = 0 to Dag.n_nodes g - 1 do
+      if Dag.in_degree g v > 0 || Dag.out_degree g v > 0 then Bitset.add keep v
+    done;
+    Dag.with_family (fst (Dag.induced g keep)) (Dag.family g)
+  end
+
+let compute ?(budget = Solver.Budget.default) ?rules ~game ~r g0 =
   if r < 1 then invalid_arg "Lower.compute: r must be >= 1";
+  let g = without_isolated g0 in
   let body () =
     let applicable =
       List.filter
@@ -128,7 +145,8 @@ let compute ?(budget = Solver.Budget.default) ?rules ~game ~r g =
           r;
           bound = res.bound;
           rule = res.label;
-          witness = res.witness;
+          (* a witness partitions [g], not [g0], once nodes were removed *)
+          witness = (if g == g0 then res.witness else None);
           evaluated;
           truncated;
         }
@@ -162,9 +180,9 @@ let cheap label bound =
   if bound > 0 then [ { label; bound; witness = None; truncated = false } ]
   else []
 
-(* Sources with an out-edge + sinks with an in-edge.  [Dag.trivial_cost]
-   counts every source and sink, but an isolated node (both at once) is
-   pebbled for free in either game, so it must not contribute here. *)
+(* Every source is loaded and every sink saved at least once; the
+   rules never see an isolated node, which would be both and need
+   neither. *)
 let () =
   register
     (module struct
@@ -174,53 +192,14 @@ let () =
       let applies = always
 
       let compute ~budget:_ ~game:_ ~r:_ g =
-        let c = ref 0 in
-        for v = 0 to Dag.n_nodes g - 1 do
-          if Dag.is_source g v && Dag.out_degree g v > 0 then incr c;
-          if Dag.is_sink g v && Dag.in_degree g v > 0 then incr c
-        done;
-        [ { label = "trivial"; bound = !c; witness = None; truncated = false } ]
-    end)
-
-(* Any dominator of a node set containing a source must contain that
-   source (the one-node path), so min_dom(V) = #sources; dominator
-   minima are subadditive over the classes of a dominator partition,
-   hence MIN_dom(2r) ≥ ⌈#sources / 2r⌉ and Theorem 6.7 applies. *)
-let () =
-  register
-    (module struct
-      let name = "source-cut"
-      let games = [ Rbp; Prbp ]
-      let share = 0
-      let applies = always
-
-      let compute ~budget:_ ~game:_ ~r g =
-        let q = Dag.n_sources g in
-        let s = 2 * r in
-        cheap "source-cut" (max 0 (r * (((q + s - 1) / s) - 1)))
-    end)
-
-(* The edge-side mirror: pick one in-edge per sink; each choice is an
-   edge-terminal of the S-edge-partition class containing it (nothing
-   after it can consume a sink's value), distinct sinks give distinct
-   terminals, and a class carries at most s terminals — so
-   MIN_edge(2r) ≥ ⌈#sinks' / 2r⌉ for the #sinks' sinks with an
-   in-edge, and Theorem 6.5 applies (PRBP, hence also RBP). *)
-let () =
-  register
-    (module struct
-      let name = "sink-cut"
-      let games = [ Rbp; Prbp ]
-      let share = 0
-      let applies = always
-
-      let compute ~budget:_ ~game:_ ~r g =
-        let q = ref 0 in
-        for v = 0 to Dag.n_nodes g - 1 do
-          if Dag.is_sink g v && Dag.in_degree g v > 0 then incr q
-        done;
-        let s = 2 * r in
-        cheap "sink-cut" (max 0 (r * (((!q + s - 1) / s) - 1)))
+        [
+          {
+            label = "trivial";
+            bound = Dag.trivial_cost g;
+            witness = None;
+            truncated = false;
+          };
+        ]
     end)
 
 (* Section 6.3 analytic bounds, auto-attached via the DAG's family tag

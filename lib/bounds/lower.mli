@@ -15,18 +15,8 @@
 
     The built-in rules, in registration (= tie-break priority) order:
 
-    - ["trivial"] — sources with an out-edge plus sinks with an
-      in-edge; both games (an isolated node needs no I/O, so the
-      library-wide [Dag.trivial_cost] would overcount here).
-    - ["source-cut"] — [r·(⌈q/2r⌉−1)] for [q] sources: any dominator
-      of the full node set contains every source, and dominator minima
-      are subadditive across the classes of a [2r]-dominator partition,
-      so [MIN_dom(2r) ≥ ⌈q/2r⌉]; Theorem 6.7 applies (PRBP, hence also
-      RBP).
-    - ["sink-cut"] — the edge-side mirror: one in-edge per sink is an
-      edge-terminal of its S-edge-partition class and a class carries
-      at most [2r] terminals, so [MIN_edge(2r) ≥ ⌈#sinks'/2r⌉];
-      Theorem 6.5 applies (both games).
+    - ["trivial"] — every source is loaded and every sink saved at
+      least once ({!Prbp_dag.Dag.trivial_cost}); both games.
     - ["closed-form"] — the Section 6.3 analytic bounds, auto-attached
       from the DAG's {!Prbp_dag.Dag.family} tag through the
       {!Prbp_graphs.Closed_form} registry; results are labelled
@@ -141,4 +131,12 @@ val compute :
     carries a wall-clock deadline — and the deadline is split across
     the applicable budget-consuming rules by [share]; a search that
     exhausts its slice still contributes its certified anytime floor,
-    marked [truncated]. *)
+    marked [truncated].
+
+    The rules run on the DAG without its isolated nodes, family tag
+    kept: an isolated node starts blue, is a sink that is already blue,
+    and needs no move in either game, so removing it changes no
+    optimum, and the paper's theorems assume there is none (a partition
+    rule would count it as a class of its own).  On a DAG with
+    isolated nodes the result carries no [witness], since a witness
+    would partition the smaller DAG. *)

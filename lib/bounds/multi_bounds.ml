@@ -39,20 +39,6 @@ let lower ?budget ?rules ~game ~p ~r g =
       List.map (fun (lbl, b) -> (pool_label lbl, b)) l.Lower.evaluated;
   }
 
-let scale_budget (b : Solver.Budget.t) frac =
-  {
-    b with
-    Solver.Budget.max_millis =
-      Option.map
-        (fun ms -> max 1 (int_of_float (float_of_int ms *. frac)))
-        b.Solver.Budget.max_millis;
-  }
-
-let ms_left (budget : Solver.Budget.t) t0 =
-  Option.map
-    (fun ms -> ms - int_of_float (Clock.elapsed_s t0 *. 1000.))
-    budget.Solver.Budget.max_millis
-
 (* OPT_p(r) ≤ OPT_1(r): the single-processor winner played on
    processor 0.  The lifted move list is re-verified through the
    multiprocessor rule engine at exactly the single-processor cost —
@@ -62,9 +48,9 @@ let run ?(budget = Solver.Budget.default) ?rules ~game ~p ~r ~upper_fn
     ~lift ~check ~wrap g =
   if p < 1 then invalid_arg "Multi_bounds: p must be >= 1";
   let t0 = Clock.now () in
-  let lo = lower ~budget:(scale_budget budget 0.4) ?rules ~game ~p ~r g in
+  let lo = lower ~budget:(Bracket.scale_budget budget 0.4) ?rules ~game ~p ~r g in
   let upper_budget =
-    match ms_left budget t0 with
+    match Bracket.ms_left budget t0 with
     | None -> budget
     | Some ms -> { budget with Solver.Budget.max_millis = Some (max 1 ms) }
   in

@@ -3,10 +3,7 @@ module Topo = Prbp_dag.Topo
 module Solver = Prbp_solver.Solver
 module Heuristic = Prbp_solver.Heuristic
 module Thresholds = Prbp_solver.Thresholds
-module Optimize = Prbp_solver.Optimize
 module Verifier = Prbp_pebble.Verifier
-module Rbp_engine = Prbp_pebble.Rbp
-module Prbp_engine = Prbp_pebble.Prbp
 module Clock = Prbp_obs.Clock
 module Span = Prbp_obs.Span
 module Metrics = Prbp_obs.Metrics
@@ -19,12 +16,11 @@ let m_accepted =
   Metrics.counter ~help:"Upper-bound candidates that survived verification"
     "prbp_upper_accepted_total"
 
-type meth = { base : string; reorder_seed : int option; optimized : bool }
+type meth = { base : string; reorder_seed : int option }
 
-let meth_label m =
-  m.base
-  ^ (if m.reorder_seed <> None then "+reorder" else "")
-  ^ if m.optimized then "+opt" else ""
+let meth_label m = m.base ^ if m.reorder_seed <> None then "+reorder" else ""
+
+let meth base = { base; reorder_seed = None }
 
 type 'm t = { cost : int; moves : 'm list; meth : meth }
 
@@ -50,101 +46,6 @@ let perturb g base seed =
     end
   done;
   order
-
-let hill_climb_iters = 24
-
-type clock = { time_ok : unit -> bool }
-
-let make_clock (budget : Solver.Budget.t) =
-  let deadline = Clock.deadline_of_millis budget.Solver.Budget.max_millis in
-  let time_ok () =
-    (not (Clock.expired deadline))
-    && match budget.Solver.Budget.cancelled with
-       | Some f -> not (f ())
-       | None -> true
-  in
-  { time_ok }
-
-(* Shared portfolio driver: [candidates] yields (meth, lazy moves);
-   every candidate is certified by [verify] before its cost is
-   believed, and a rejected or crashing candidate is skipped.  Each
-   verified candidate that beats the incumbent is reported to
-   [on_improve] at once, so callers can publish it before the
-   portfolio ends.  The first base candidate always runs; the clock is
-   checked before every later one. *)
-let run_portfolio ~verify ~clock ~on_improve ~base_candidates ~reorder
-    ~optimize =
-  let best = ref None in
-  let consider meth moves =
-    match verify moves with
-    | Error _ -> ()
-    | Ok cost -> (
-        Metrics.Counter.incr m_accepted;
-        Span.add_attr "cost" (string_of_int cost);
-        match !best with
-        | Some b when b.cost <= cost -> ()
-        | _ ->
-            best := Some { cost; moves; meth };
-            Span.add_attr "improved" "true";
-            on_improve cost meth)
-  in
-  let attempt ?(span = "upper.candidate") meth produce =
-    Metrics.Counter.incr m_candidates;
-    let go () =
-      match produce () with
-      | moves -> consider meth moves
-      | exception (Invalid_argument _ | Failure _) -> ()
-    in
-    if Span.enabled () then
-      Span.with_ ~name:span ~attrs:[ ("method", meth_label meth) ] go
-    else go ()
-  in
-  let rec base first = function
-    | (meth, produce) :: rest when first || clock.time_ok () ->
-        attempt meth produce;
-        base false rest
-    | _ -> ()
-  in
-  let go () =
-    base true base_candidates;
-    (match reorder with
-    | None -> ()
-    | Some run_with_order ->
-        let seed = ref 1 in
-        let iters = ref 0 in
-        while !iters < hill_climb_iters && clock.time_ok () do
-          incr iters;
-          seed := lcg !seed;
-          let s = !seed in
-          attempt ~span:"upper.reorder"
-            { base = "belady"; reorder_seed = Some s; optimized = false }
-            (fun () -> run_with_order s)
-        done);
-    (match !best with
-    | Some b when List.length b.moves <= 2500 && clock.time_ok () ->
-        attempt ~span:"upper.optimize" { b.meth with optimized = true }
-          (fun () -> optimize b.moves)
-    | _ -> ());
-    match !best with
-    | Some b -> Ok b
-    | None -> Error "Upper: no candidate strategy survived verification"
-  in
-  if not (Span.enabled ()) then go ()
-  else
-    Span.with_ ~name:"upper.portfolio" (fun () ->
-        let r = go () in
-        (match r with
-        | Ok b ->
-            Span.add_attr "method" (meth_label b.meth);
-            Span.add_attr "cost" (string_of_int b.cost)
-        | Error _ -> ());
-        r)
-
-let policies =
-  [ ("belady", Heuristic.Belady); ("lru", Heuristic.Lru);
-    ("fifo", Heuristic.Fifo) ]
-
-let meth base = { base; reorder_seed = None; optimized = false }
 
 (* ------------------------------------------------------------------ *)
 (* Banded topological orders.  The default topological order sweeps
@@ -239,70 +140,117 @@ let banded_order g ~h =
 
 let banded_heights = [ 1; 2; 3 ]
 
-let banded_candidates run_with_order g =
-  if Dag.n_nodes g < 2 then []
+let hill_climb_iters = 24
+
+(* The shared portfolio, around the game's Belady pebbler
+   [pebble ?order ()]: the default order, then [extra] (the game's own
+   base candidates), the banded orders and [tail], then hill climbing
+   over perturbations of the default topological order.  Every
+   candidate is certified by [verify] before its cost is believed, and
+   a rejected or crashing candidate is skipped.  Each verified
+   candidate that beats the incumbent is reported to [on_improve] at
+   once, so callers can publish it before the portfolio ends.  The
+   first base candidate always runs; the clock and cancellation are
+   checked before every later one. *)
+let run_portfolio ~(budget : Solver.Budget.t) ~on_improve ~verify
+    ~(pebble : ?order:Dag.node array -> unit -> _) ~extra ~tail g =
+  let deadline = Clock.deadline_of_millis budget.Solver.Budget.max_millis in
+  let time_ok () =
+    (not (Clock.expired deadline))
+    && match budget.Solver.Budget.cancelled with
+       | Some f -> not (f ())
+       | None -> true
+  in
+  let banded =
+    if Dag.n_nodes g < 2 then []
+    else
+      List.map
+        (fun h ->
+          ( meth (Printf.sprintf "banded%d" h),
+            fun () -> pebble ~order:(banded_order g ~h) () ))
+        banded_heights
+  in
+  let best = ref None in
+  let consider meth moves =
+    match verify moves with
+    | Error _ -> ()
+    | Ok cost -> (
+        Metrics.Counter.incr m_accepted;
+        Span.add_attr "cost" (string_of_int cost);
+        match !best with
+        | Some b when b.cost <= cost -> ()
+        | _ ->
+            best := Some { cost; moves; meth };
+            Span.add_attr "improved" "true";
+            on_improve cost meth)
+  in
+  let attempt ?(span = "upper.candidate") meth produce =
+    Metrics.Counter.incr m_candidates;
+    let go () =
+      match produce () with
+      | moves -> consider meth moves
+      | exception (Invalid_argument _ | Failure _) -> ()
+    in
+    if Span.enabled () then
+      Span.with_ ~name:span ~attrs:[ ("method", meth_label meth) ] go
+    else go ()
+  in
+  let rec base first = function
+    | (meth, produce) :: rest when first || time_ok () ->
+        attempt meth produce;
+        base false rest
+    | _ -> ()
+  in
+  let go () =
+    base true (((meth "belady", fun () -> pebble ()) :: extra) @ banded @ tail);
+    if Dag.n_nodes g >= 3 then begin
+      let order = Topo.sort g in
+      let seed = ref 1 in
+      let iters = ref 0 in
+      while !iters < hill_climb_iters && time_ok () do
+        incr iters;
+        seed := lcg !seed;
+        let s = !seed in
+        attempt ~span:"upper.reorder"
+          { base = "belady"; reorder_seed = Some s }
+          (fun () -> pebble ~order:(perturb g order s) ())
+      done
+    end;
+    match !best with
+    | Some b -> Ok b
+    | None -> Error "Upper: no candidate strategy survived verification"
+  in
+  if not (Span.enabled ()) then go ()
   else
-    List.map
-      (fun h ->
-        ( meth (Printf.sprintf "banded%d" h),
-          fun () -> run_with_order (banded_order g ~h) ))
-      banded_heights
+    Span.with_ ~name:"upper.portfolio" (fun () ->
+        let r = go () in
+        (match r with
+        | Ok b ->
+            Span.add_attr "method" (meth_label b.meth);
+            Span.add_attr "cost" (string_of_int b.cost)
+        | Error _ -> ());
+        r)
 
 let rbp ?(budget = Solver.Budget.default) ?(on_improve = fun _ _ -> ())
     ~r g =
   if r < Thresholds.rbp_feasible_r g then
     Error "Upper.rbp: r is below the RBP feasibility threshold (max in-degree + 1)"
   else
-    let clock = make_clock budget in
-    let base_candidates =
-      List.map
-        (fun (name, policy) ->
-          (meth name, fun () -> Heuristic.rbp ~policy ~r g))
-        policies
-      @ banded_candidates
-          (fun order -> Heuristic.rbp ~policy:Heuristic.Belady ~order ~r g)
-          g
-    in
-    let reorder =
-      if Dag.n_nodes g >= 3 then
-        let base = Topo.sort g in
-        Some
-          (fun s -> Heuristic.rbp ~policy:Heuristic.Belady ~order:(perturb g base s) ~r g)
-      else None
-    in
-    run_portfolio ~verify:(Verifier.R.check ~r g) ~clock ~on_improve ~base_candidates
-      ~reorder
-      ~optimize:(fun moves -> Optimize.rbp (Rbp_engine.config ~r ()) g moves)
+    run_portfolio ~budget ~on_improve ~verify:(Verifier.R.check ~r g)
+      ~pebble:(fun ?order () -> Heuristic.rbp ?order ~r g)
+      ~extra:[] ~tail:[] g
 
 let prbp ?(budget = Solver.Budget.default) ?(on_improve = fun _ _ -> ())
     ~r g =
   if r < Thresholds.prbp_feasible_r g then
     Error "Upper.prbp: r is below the PRBP feasibility threshold (2 on any DAG with an edge)"
   else
-    let clock = make_clock budget in
-    let base_candidates =
-      List.concat_map
-        (fun (name, policy) ->
-          [ (meth name, fun () -> Heuristic.prbp ~policy ~r g);
-            ( meth (name ^ "+defer"),
-              fun () -> Heuristic.prbp ~policy ~defer_saves:true ~r g ) ])
-        policies
-      @ banded_candidates
-          (fun order -> Heuristic.prbp ~policy:Heuristic.Belady ~order ~r g)
-          g
-      @
-      if Dag.n_edges g <= 4000 then
-        [ (meth "greedy-edges", fun () -> Heuristic.prbp_greedy ~r g) ]
-      else []
-    in
-    let reorder =
-      if Dag.n_nodes g >= 3 then
-        let base = Topo.sort g in
-        Some
-          (fun s ->
-            Heuristic.prbp ~policy:Heuristic.Belady ~order:(perturb g base s) ~r g)
-      else None
-    in
-    run_portfolio ~verify:(Verifier.P.check ~r g) ~clock ~on_improve
-      ~base_candidates ~reorder
-      ~optimize:(fun moves -> Optimize.prbp (Prbp_engine.config ~r ()) g moves)
+    run_portfolio ~budget ~on_improve ~verify:(Verifier.P.check ~r g)
+      ~pebble:(fun ?order () -> Heuristic.prbp ?order ~r g)
+      ~extra:
+        [ (meth "belady+defer", fun () -> Heuristic.prbp ~defer_saves:true ~r g) ]
+      ~tail:
+        (if Dag.n_edges g <= 4000 then
+           [ (meth "greedy-edges", fun () -> Heuristic.prbp_greedy ~r g) ]
+         else [])
+      g

@@ -3,18 +3,19 @@
     A candidate strategy's cost is {e never} taken from the pebbler
     that produced it: every candidate, at every DAG size, is replayed
     through {!Prbp_pebble.Verifier} — the literal, paper-transcribed
-    rules, which share no code with the engines that produce and
-    optimize strategies — and a candidate the checker rejects is
+    rules, which share no code with the engines that produce
+    strategies — and a candidate the checker rejects is
     dropped from the portfolio, not repaired.  The returned cost is
     therefore the certified cost of a complete pebbling whose move
     list is included as the certificate.
 
     The portfolio, per game, in the order it runs:
 
-    - every eviction policy of {!Prbp_solver.Heuristic} (Belady / LRU /
-      FIFO), and for PRBP each policy with and without [defer_saves] —
-      the recompute-vs-save trade: deferring the save of a
-      partially-aggregated value in favor of evicting a free resident;
+    - Belady's offline eviction ({!Prbp_solver.Heuristic}) on the
+      default topological order, and for PRBP also with [defer_saves]
+      ([belady+defer]) — the recompute-vs-save trade: deferring the
+      save of a partially-aggregated value in favor of evicting a free
+      resident;
     - {e banded} orders ({!banded_order} at heights 1–3) under Belady:
       blocked schedules that keep a band of consecutive depth levels'
       components cache-resident — the classic tiling win on layered
@@ -23,29 +24,29 @@
     - hill climbing over the processing order: deterministic LCG-driven
       adjacent transpositions of the topological order (only swaps that
       keep the order topological), re-running the Belady pebbler on
-      each perturbed order while the budget's wall clock allows;
-    - a final {!Prbp_solver.Optimize} pass on the incumbent (deletes
-      redundant saves/loads, each deletion re-verified by replay).
+      each perturbed order while the budget's wall clock allows.
+
+    Each of these sets the best bound of some bracket in a survey over
+    the generator families; candidates that never did are not run.
 
     The portfolio is anytime: each verified candidate that beats the
     incumbent is reported to the caller's [on_improve] as soon as its
     replay passes.  The first base candidate (Belady) always runs; the
     budget's wall clock and cancellation are checked before every later
     candidate, so the stage overruns its deadline by at most one
-    candidate.  With tracing on, each [upper.candidate],
-    [upper.reorder] and [upper.optimize] span carries the verified
-    [cost] (absent when the checker rejected it) and [improved=true]
-    when the candidate became the incumbent. *)
+    candidate.  With tracing on, each [upper.candidate] and
+    [upper.reorder] span carries the verified [cost] (absent when the
+    checker rejected it) and [improved=true] when the candidate became
+    the incumbent. *)
 
 type meth = {
-  base : string;  (** ["belady"], ["lru+defer"], ["greedy-edges"], … *)
+  base : string;  (** ["belady"], ["belady+defer"], ["greedy-edges"], … *)
   reorder_seed : int option;
       (** LCG seed of the order perturbation, when hill climbing won *)
-  optimized : bool;  (** the {!Prbp_solver.Optimize} pass improved it *)
 }
 
 val meth_label : meth -> string
-(** E.g. ["belady+reorder+opt"]. *)
+(** E.g. ["belady+reorder"]. *)
 
 type 'm t = {
   cost : int;  (** certified by replay through {!Prbp_pebble.Verifier} *)

@@ -20,9 +20,11 @@ let n_nodes g = g.n
 
 let family g = g.family
 
-let with_family g f = { g with family = Some f }
+let with_family g family = { g with family }
 
 let n_edges g = Array.length g.succ_tgt
+
+let is_node g v = v >= 0 && v < g.n
 
 let name g v =
   match g.names with

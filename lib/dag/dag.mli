@@ -36,12 +36,17 @@ val family : t -> string option
     views ({!reverse}, {!induced}) drop the tag: they are no longer the
     generated graph. *)
 
-val with_family : t -> string -> t
-(** [with_family g f] is [g] re-tagged with family [f]. *)
+val with_family : t -> string option -> t
+(** [with_family g f] is [g] re-tagged with family [f]; [None] drops
+    the tag. *)
 
 val n_nodes : t -> int
 
 val n_edges : t -> int
+
+val is_node : t -> int -> bool
+(** [is_node g v]: [0 ≤ v < n_nodes g].  Moves and other input naming
+    nodes from outside the library are checked with it. *)
 
 val name : t -> node -> string
 (** Display name of a node: the supplied name, or ["v<i>"]. *)

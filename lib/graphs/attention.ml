@@ -3,7 +3,7 @@ module Dag = Prbp_dag.Dag
 let qkt ~m ~d =
   let t = Matmul.make ~m1:m ~m2:d ~m3:m in
   { t with Matmul.dag =
-      Dag.with_family t.Matmul.dag (Printf.sprintf "attention-qkt:%d:%d" m d) }
+      Dag.with_family t.Matmul.dag (Some (Printf.sprintf "attention-qkt:%d:%d" m d)) }
 
 type full = { dag : Prbp_dag.Dag.t; m : int; d : int }
 

@@ -75,6 +75,9 @@ module R = struct
 
   let apply t (m : Move.rbp) =
     match m with
+    | Move.(Load (_, v) | Save (_, v) | Compute (_, v) | Delete (_, v))
+      when not (Dag.is_node t.g v) ->
+        errf "%a: no such node" Move.pp_rbp m
     | Move.Load (q, v) ->
         if not (check_proc t.cfg q) then errf "load: bad processor %d" q
         else if not (Bitset.mem t.blue v) then errf "load %d: no blue" v
@@ -214,6 +217,12 @@ module P = struct
 
   let apply t (m : Move.prbp) =
     match m with
+    | Move.(Load (_, v) | Save (_, v) | Delete (_, v))
+      when not (Dag.is_node t.g v) ->
+        errf "%a: no such node" Move.pp_prbp m
+    | Move.Compute (_, (u, v)) when not (Dag.is_node t.g u && Dag.is_node t.g v)
+      ->
+        errf "%a: no such node" Move.pp_prbp m
     | Move.Load (q, v) ->
         if not (check_proc t.cfg q) then errf "load: bad processor %d" q
         else if not (Bitset.mem t.blue v) then errf "load %d: no blue" v

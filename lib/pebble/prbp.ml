@@ -123,6 +123,11 @@ let set_state t v p =
 
 let apply t (m : Move.P.t) =
   match m with
+  | Move.P.(Load v | Save v | Delete v | Clear v)
+    when not (Dag.is_node t.g v) ->
+      errf "%a: no such node" Move.P.pp m
+  | Move.P.Compute (u, v) when not (Dag.is_node t.g u && Dag.is_node t.g v) ->
+      errf "%a: no such node" Move.P.pp m
   | Move.P.Load v -> (
       match t.state.(v) with
       | Pebble.Blue ->

@@ -105,6 +105,11 @@ let computable t v =
 
 let apply t (m : Move.R.t) =
   match m with
+  | Move.R.(Load v | Save v | Compute v | Delete v)
+    when not (Dag.is_node t.g v) ->
+      errf "%a: no such node" Move.R.pp m
+  | Move.R.Slide (u, v) when not (Dag.is_node t.g u && Dag.is_node t.g v) ->
+      errf "%a: no such node" Move.R.pp m
   | Move.R.Load v ->
       if not (Bitset.mem t.blue v) then errf "load %d: no blue pebble" v
       else if Bitset.mem t.red v then begin

@@ -18,6 +18,9 @@ module R = struct
 
   let step ~r g st (m : Move.R.t) =
     match m with
+    | Move.R.(Load v | Save v | Compute v | Delete v) when not (Dag.is_node g v)
+      ->
+        Error "no such node"
     | Move.R.Load v ->
         (* "place a red pebble on any node v that has a blue pebble" *)
         if not (S.mem v st.blue) then Error "load: no blue pebble"
@@ -119,6 +122,10 @@ module P = struct
 
   let step ~r g st (m : Move.P.t) =
     match m with
+    | Move.P.(Load v | Save v | Delete v) when not (Dag.is_node g v) ->
+        Error "no such node"
+    | Move.P.Compute (u, v) when not (Dag.is_node g u && Dag.is_node g v) ->
+        Error "compute: no such edge"
     | Move.P.Load v -> (
         (* "place a light red pebble on any node v that has a blue
            pebble" *)

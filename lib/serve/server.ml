@@ -404,7 +404,10 @@ let solve_telemetry ~(rq : Wire.request) fd =
    touched or a byte is written.  The computation itself runs after
    the chunked head, so what it raises ends the stream. *)
 let plan state (rq : Wire.request) fd =
-  let g = rq.dag and r = rq.r in
+  (* a client's family tag is not checked against its DAG, and the
+     cache key leaves it out, so no certificate may rest on it: the
+     closed forms apply only to DAGs the library generated *)
+  let g = Dag.with_family rq.dag None and r = rq.r in
   let budget = budget_of state rq and telemetry = solve_telemetry ~rq fd in
   let { Wire.sliding; recompute; no_delete } = rq.variants in
   let invalid msg = Error (Some "invalid-argument", msg) in
@@ -502,7 +505,7 @@ let plan state (rq : Wire.request) fd =
           Result.map
             (fun b ->
               Bracket_cert
-                (Wire.bracket_of ?family:(Dag.family g) ~with_moves:true b))
+                (Wire.bracket_of ~with_moves:true b))
             (bracket ~budget ?telemetry ?rules:rq.rules ~r g))
   | Wire.Bracket, _ -> Error (None, "only the rbp/prbp games have brackets")
   | Wire.Frontier, ((Wire.Multi_rbp p | Wire.Multi_prbp p) as game) ->
@@ -517,8 +520,7 @@ let plan state (rq : Wire.request) fd =
           in
           Ok
             (Frontier_cert
-               (Wire.frontier_of ?family:(Dag.family g) ~with_moves:true ~dag:g
-                  f)))
+               (Wire.frontier_of ~with_moves:true ~dag:g f)))
   | Wire.Frontier, _ ->
       invalid
         "frontier requires a multiprocessor game (multi-rbp:P / multi-prbp:P)"

@@ -200,7 +200,6 @@ let test_expired_deadline_runs_one_candidate () =
   | Ok b -> (
       check_int "one base candidate" 1 (count "upper.candidate");
       check_int "no hill climb" 0 (count "upper.reorder");
-      check_int "no optimize pass" 0 (count "upper.optimize");
       check_true "profile skipped" (b.Bracket.profile = None);
       check_int "no profile stage" 0 (count "bracket.profile");
       match b.Bracket.moves with

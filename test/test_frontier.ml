@@ -302,6 +302,25 @@ let test_anytime () =
     (f.F.exhausted
     || List.for_all (fun (pt : F.point) -> pt.F.settled) f.F.points)
 
+(* Isolated nodes need no move, so they must not lift a pooled lower
+   bound past the cost-2 strategy of 70 isolated nodes beside one
+   edge: both capacities bracket, and both witnesses replay. *)
+let test_isolated_nodes () =
+  let g = Dag.make ~n:72 [ (70, 71) ] in
+  List.iter
+    (fun (name, game) ->
+      let f = F.sweep game ~p:2 ~rs:[ 2; 3 ] g in
+      Alcotest.(check (list int))
+        (name ^ ": no capacity infeasible") [] f.F.infeasible_rs;
+      check_int (name ^ ": two points") 2 (List.length f.F.points);
+      List.iter
+        (fun (pt : F.point) ->
+          check_true
+            (Printf.sprintf "%s r=%d: verified" name pt.F.r)
+            (pt.F.verified && replay_ok g pt))
+        f.F.points)
+    [ ("multi-rbp:2", F.Rbp_mc); ("multi-prbp:2", F.Prbp_mc) ]
+
 let suite =
   [
     ( "frontier",
@@ -321,5 +340,6 @@ let suite =
         slow_case "pooled brackets past exact reach" test_multi_bounds;
         pooled_lower_sound;
         case "starved sweeps stay sound" test_anytime;
+        case "isolated nodes keep every capacity bracketed" test_isolated_nodes;
       ] );
   ]

@@ -44,8 +44,8 @@ let test_registry_names () =
     (fun expected ->
       check_true ("registered: " ^ expected) (List.mem expected names))
     [
-      "trivial"; "source-cut"; "sink-cut"; "closed-form"; "exact-dominator";
-      "exact-spartition"; "exact-edge";
+      "trivial"; "closed-form"; "exact-dominator"; "exact-spartition";
+      "exact-edge";
     ];
   (* re-registering any existing name must be rejected *)
   List.iter
@@ -67,9 +67,12 @@ let test_registry_names () =
 
 let test_rule_selection () =
   let g = Prbp.Graphs.Basic.fan_in 5 in
-  let l = Lower.compute ~rules:[ "source-cut" ] ~game:Lower.Rbp ~r:2 g in
-  check_true "only source-cut ran"
-    (List.for_all (fun (label, _) -> label = "source-cut") l.Lower.evaluated);
+  let l = Lower.compute ~rules:[ "exact-edge" ] ~game:Lower.Rbp ~r:2 g in
+  check_true "only exact-edge ran"
+    (l.Lower.evaluated <> []
+    && List.for_all
+         (fun (label, _) -> String.ends_with ~suffix:"-edge" label)
+         l.Lower.evaluated);
   let l = Lower.compute ~rules:[ "no-such-rule" ] ~game:Lower.Rbp ~r:2 g in
   check_int "empty selection falls back to bound 0" 0 l.Lower.bound;
   Alcotest.(check string) "and reports no rule" "none" l.Lower.rule
@@ -185,6 +188,23 @@ let prop_banded_order_topological =
         (fun h -> Prbp.Topo.is_order g (Upper.banded_order g ~h))
         [ 1; 2; 3; 5 ])
 
+(* An isolated node starts blue and needs no move in either game, so
+   no rule may charge for it: ten isolated nodes beside one edge, the
+   diamond beside three, and a DAG with no edge at all. *)
+let test_isolated_nodes_sound () =
+  List.iter
+    (fun (what, g) ->
+      List.iter
+        (fun r ->
+          all_bounds_sound what Lower.Rbp ~r g;
+          all_bounds_sound what Lower.Prbp ~r g)
+        [ 2; 3 ])
+    [
+      ("10 isolated + 10->11", Dag.make ~n:12 [ (10, 11) ]);
+      ("diamond + 3 isolated", Dag.make ~n:7 [ (0, 1); (0, 2); (1, 3); (2, 3) ]);
+      ("edgeless", Dag.make ~n:5 []);
+    ]
+
 let suite =
   [
     ( "rules",
@@ -198,5 +218,7 @@ let suite =
         prop_rules_sound Lower.Prbp "PRBP";
         prop_constructive_agrees;
         prop_banded_order_topological;
+        case "isolated nodes: every bound below the exact optimum"
+          test_isolated_nodes_sound;
       ] );
   ]

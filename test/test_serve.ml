@@ -1150,6 +1150,42 @@ let test_serve_unknown_rule () =
   check_int "valid request: 200" 200 valid.status;
   Alcotest.(check string) "valid request: miss" "miss" (cache_status valid)
 
+(* A client's family tag is not checked against its DAG, and the cache
+   key leaves it out, so no served bound may rest on it: grid(3,3)
+   tagged as tree(2,2), whose closed form claims 7 at r = 3, then the
+   same grid relabeled and untagged, which hits the first one's cache
+   entry.  Both must stay at or below the exact RBP optimum. *)
+let test_serve_family_tag_ignored () =
+  with_server @@ fun port ->
+  let grid = Prbp.Graphs.Basic.grid 3 3 in
+  let n = Dag.n_nodes grid in
+  let relabeled =
+    Dag.make ~n (List.map (fun (u, v) -> (n - 1 - u, n - 1 - v)) (Dag.edges grid))
+  in
+  let opt = opt_rbp (Prbp.Rbp.config ~r:3 ()) grid in
+  let bracket g =
+    post ~port "/v1/bracket"
+      (Wire.encode_request
+         (Wire.request ~want_strategy:true ~kind:Wire.Bracket ~game:Wire.Rbp
+            ~r:3 g))
+  in
+  List.iter
+    (fun (what, g, status) ->
+      let reply = bracket g in
+      check_int (what ^ ": 200") 200 reply.status;
+      Alcotest.(check string) (what ^ ": cache") status (cache_status reply);
+      match decode_served Wire.Bracket reply.body with
+      | Bracket b ->
+          check_true
+            (Printf.sprintf "%s: lower %d <= OPT %d" what b.Wire.lower opt)
+            (b.Wire.lower <= opt);
+          check_replays what g (Bracket b)
+      | _ -> Alcotest.fail "bracket did not decode")
+    [
+      ("tagged tree:2:2", Dag.with_family grid (Some "tree:2:2"), "miss");
+      ("relabeled, untagged", relabeled, "hit");
+    ]
+
 let suite =
   [
     ( "serve",
@@ -1182,5 +1218,7 @@ let suite =
           test_serve_rules_key_the_cache;
         slow_case "serve: unknown lower rules are refused"
           test_serve_unknown_rule;
+        slow_case "serve: a client's family tag sets no bound"
+          test_serve_family_tag_ignored;
       ] );
   ]

@@ -158,11 +158,12 @@ let prop_prbp_walk =
         candidates;
       !ok && Prbp.Prbp_game.io_cost eng = !vstate.V.P.io)
 
-(* Differential verdicts on the upper-bound portfolio's base candidates
-   and on in-range mutants of each: the literal checker and the
-   engine's [check] must return the same cost or both reject, and
-   [agree_*] must hold, so the first rejected move agrees too.
-   Inputs: random DAGs of four shapes, fft:8 and tree(2,3). *)
+(* Differential verdicts on the upper-bound portfolio's base
+   candidates, the LRU and FIFO pebblers, and mutants of each: the
+   literal checker and the engine's [check] must return the same cost
+   or both reject, and [agree_*] must hold, so the first rejected move
+   agrees too.  Inputs: random DAGs of four shapes, fft:8 and
+   tree(2,3). *)
 let portfolio_dag shape seed =
   let rd = Prbp.Graphs.Random_dag.make ~seed in
   match shape with
@@ -195,10 +196,10 @@ let prbp_portfolio ~r g =
 
 (* The strategy itself, then one mutant per kind: drop a move,
    duplicate one, swap two adjacent ones, retarget one ([retarget]
-   picks another in-range node or edge) and cut off the tail.  Every
-   strategy here has at least two moves, so each position drawn has a
-   successor. *)
-let mutants rng ~retarget moves =
+   picks another in-range node or edge, [escape] a node outside the
+   DAG) and cut off the tail.  Every strategy here has at least two
+   moves, so each position drawn has a successor. *)
+let mutants rng ~retarget ~escape moves =
   let a = Array.of_list moves in
   let pos () = Random.State.int rng (Array.length a - 1) in
   let edit f =
@@ -212,6 +213,7 @@ let mutants rng ~retarget moves =
     edit (fun i j m ->
         if j = i then [ a.(i + 1) ] else if j = i + 1 then [ a.(i) ] else [ m ]);
     edit (fun i j m -> if j = i then [ retarget rng m ] else [ m ]);
+    edit (fun i j m -> if j = i then [ escape rng m ] else [ m ]);
     (let i = pos () in
      List.filteri (fun j _ -> j <= i) moves);
   ]
@@ -238,6 +240,27 @@ let retarget_p g rng = function
       P.Compute (Dag.edge_src g e, Dag.edge_dst g e)
   | P.Clear _ as m -> m
 
+(* a node id outside the DAG: negative, or n and beyond *)
+let outside rng g =
+  if Random.State.bool rng then -1 - Random.State.int rng 2
+  else Dag.n_nodes g + Random.State.int rng 2
+
+let escape_r g rng = function
+  | R.Load _ -> R.Load (outside rng g)
+  | R.Save _ -> R.Save (outside rng g)
+  | R.Compute _ -> R.Compute (outside rng g)
+  | R.Delete _ -> R.Delete (outside rng g)
+  | R.Slide _ as m -> m
+
+let escape_p g rng = function
+  | P.Load _ -> P.Load (outside rng g)
+  | P.Save _ -> P.Save (outside rng g)
+  | P.Delete _ -> P.Delete (outside rng g)
+  | P.Compute (u, v) ->
+      if Random.State.bool rng then P.Compute (outside rng g, v)
+      else P.Compute (u, outside rng g)
+  | P.Clear _ as m -> m
+
 let same_verdict a b =
   match (a, b) with
   | Ok x, Ok y -> x = y
@@ -261,7 +284,7 @@ let prop_rbp_portfolio =
               same_verdict (V.R.check ~r g ms)
                 (Prbp.Rbp.check (Prbp.Rbp.config ~r ()) g ms)
               && V.agree_rbp ~r g ms = Ok ())
-            (mutants rng ~retarget:(retarget_r g) ms))
+            (mutants rng ~retarget:(retarget_r g) ~escape:(escape_r g) ms))
         (rbp_portfolio ~r g))
 
 let prop_prbp_portfolio =
@@ -278,8 +301,40 @@ let prop_prbp_portfolio =
               same_verdict (V.P.check ~r g ms)
                 (Prbp.Prbp_game.check (Prbp.Prbp_game.config ~r ()) g ms)
               && V.agree_prbp ~r g ms = Ok ())
-            (mutants rng ~retarget:(retarget_p g) ms))
+            (mutants rng ~retarget:(retarget_p g) ~escape:(escape_p g) ms))
         (prbp_portfolio ~r g))
+
+(* A node id outside the DAG is an illegal move, never an exception,
+   in every checker. *)
+let test_out_of_range_rejected () =
+  let g = Prbp.Graphs.Basic.diamond () in
+  let n = Dag.n_nodes g in
+  let mc = Prbp.Multi.config ~p:2 ~r:3 () in
+  let module M = Prbp.Multi.Move in
+  List.iter
+    (fun v ->
+      let what fmt = Printf.sprintf fmt v in
+      check_err (what "literal RBP compute %d") (V.R.check ~r:3 g [ R.Compute v ]);
+      check_err (what "literal RBP load %d") (V.R.check ~r:3 g [ R.Load v ]);
+      check_err (what "literal PRBP compute (%d,0)")
+        (V.P.check ~r:3 g [ P.Compute (v, 0) ]);
+      check_err (what "literal PRBP load %d") (V.P.check ~r:3 g [ P.Load v ]);
+      check_err (what "RBP load %d")
+        (Prbp.Rbp.check (Prbp.Rbp.config ~r:3 ()) g [ R.Load v ]);
+      check_err (what "RBP slide (0,%d)")
+        (Prbp.Rbp.check (Prbp.Rbp.config ~sliding:true ~r:3 ()) g
+           [ R.Load 0; R.Slide (0, v) ]);
+      check_err (what "PRBP load %d")
+        (Prbp.Prbp_game.check (Prbp.Prbp_game.config ~r:3 ()) g [ P.Load v ]);
+      check_err (what "PRBP compute (%d,0)")
+        (Prbp.Prbp_game.check (Prbp.Prbp_game.config ~r:3 ()) g
+           [ P.Compute (v, 0) ]);
+      check_err (what "RBP-MC load (0,%d)") (Prbp.Multi.R.check mc g [ M.Load (0, v) ]);
+      check_err (what "PRBP-MC load (0,%d)")
+        (Prbp.Multi.P.check mc g [ M.Load (0, v) ]);
+      check_err (what "PRBP-MC compute (0,(%d,0))")
+        (Prbp.Multi.P.check mc g [ M.Compute (0, (v, 0)) ]))
+    [ n; -1 ]
 
 let suite =
   [
@@ -293,5 +348,7 @@ let suite =
         prop_prbp_walk;
         prop_rbp_portfolio;
         prop_prbp_portfolio;
+        case "out-of-range nodes are rejected, not raised"
+          test_out_of_range_rejected;
       ] );
   ]
