@@ -21,7 +21,7 @@ let pp_itv lo = function
   | None -> Printf.sprintf ">=%d" lo
 
 (* Re-verify one frontier point independently of the sweep: its
-   witness must replay through the Prbp_pebble.Multi rule engine at
+   witness must replay through the Prbp_pebble.Multi checkers at
    exactly the claimed communication upper bound. *)
 let point_certified g (pt : F.point) =
   match (pt.F.witness, pt.F.comm_upper) with
@@ -123,7 +123,7 @@ let e34 =
       T.print ppf t;
       Format.fprintf ppf
         "(every frontier point above was re-verified here by replaying its \
-         witness through the multiprocessor rule engine, independently of \
+         witness through the multiprocessor checkers, independently of \
          the sweep; the p = 1 column cross-checks the frontier against the \
          single-processor exact solvers, which the MC games specialize to)@.";
       !ok)

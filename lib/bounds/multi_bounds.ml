@@ -41,7 +41,7 @@ let lower ?budget ?rules ~game ~p ~r g =
 
 (* OPT_p(r) ≤ OPT_1(r): the single-processor winner played on
    processor 0.  The lifted move list is re-verified through the
-   multiprocessor rule engine at exactly the single-processor cost —
+   multiprocessor checker at exactly the single-processor cost —
    a lift the checker rejects (or re-prices) is a bug, not a bound,
    so it is refused rather than repaired. *)
 let run ?(budget = Solver.Budget.default) ?rules ~game ~p ~r ~upper_fn

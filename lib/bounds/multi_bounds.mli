@@ -21,8 +21,8 @@
     entirely on processor 0.  The {!Upper} portfolio runs at
     per-processor capacity [r] and its winner is lifted through
     {!Prbp_pebble.Multi.lift_rbp} / [lift_prbp], then re-verified —
-    cost and all — through the {!Prbp_pebble.Multi} rule engines
-    before being believed.
+    cost and all — through the {!Prbp_pebble.Multi} checkers (the
+    literal rules of {!Prbp_pebble.Verifier}) before being believed.
 
     Together these bracket [OPT_p(r)] for any [p], far past
     {!Prbp_solver.Exact_multi}'s [p ≤ 8], [n ≤ 62] exact reach. *)

@@ -104,9 +104,9 @@ module Bounds = struct
   module Multi_bounds = Prbp_bounds.Multi_bounds
 end
 
-(** Certified multiprocessor trade-off frontiers: the per-move
-    {!Frontier.Cost_model} pricing (compute time, communication,
-    resident memory) and the anytime ε-constraint Pareto enumerator
+(** Certified multiprocessor trade-off frontiers: the unit
+    {!Frontier.Cost_model} (compute time and communication per
+    processor) and the anytime ε-constraint Pareto enumerator
     {!Frontier.Frontier} over {!Exact_multi} and
     {!Bounds.Multi_bounds}. *)
 module Frontier = struct

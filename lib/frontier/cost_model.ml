@@ -1,160 +1,44 @@
 module Dag = Prbp_dag.Dag
-module Topo = Prbp_dag.Topo
 module Multi = Prbp_pebble.Multi
 
-type vec = { time : int; comm : int; mem : int }
+let name = "unit"
 
-type t = {
-  name : string;
-  rbp_move : r:int -> Multi.Move.rbp -> vec;
-  prbp_move : r:int -> Multi.Move.prbp -> vec;
-}
+type eval = { comm : int; makespan : int; per_proc_time : int array }
 
-let make ?(name = "uniform") ~compute_time ~io_time () =
-  let io r = { time = io_time; comm = 1; mem = r } in
-  let free r = { time = 0; comm = 0; mem = r } in
-  let compute r = { time = compute_time; comm = 0; mem = r } in
-  {
-    name;
-    rbp_move =
-      (fun ~r (m : Multi.Move.rbp) ->
-        match m with
-        | Load _ | Save _ -> io r
-        | Compute _ -> compute r
-        | Delete _ -> free r);
-    prbp_move =
-      (fun ~r (m : Multi.Move.prbp) ->
-        match m with
-        | Load _ | Save _ -> io r
-        | Compute _ -> compute r
-        | Delete _ -> free r);
-  }
+(* The strategy passed [Multi.R.check] or [Multi.P.check], so its
+   processors are in range; [time] gives each move's processor and time
+   units. *)
+let price ~time cfg moves comm =
+  let per = Array.make cfg.Multi.p 0 in
+  List.iter
+    (fun m ->
+      let q, t = time m in
+      per.(q) <- per.(q) + t)
+    moves;
+  { comm; makespan = Array.fold_left max 0 per; per_proc_time = per }
 
-let unit = make ~name:"unit" ~compute_time:1 ~io_time:1 ()
+let eval_rbp cfg g moves =
+  let time : Multi.Move.rbp -> int * int = function
+    | Load (q, _) | Save (q, _) | Compute (q, _) -> (q, 1)
+    | Delete (q, _) -> (q, 0)
+  in
+  Result.map (price ~time cfg moves) (Multi.R.check cfg g moves)
 
-type weights = { w_time : int; w_comm : int; w_mem : int }
+let eval_prbp cfg g moves =
+  let time : Multi.Move.prbp -> int * int = function
+    | Load (q, _) | Save (q, _) | Compute (q, _) -> (q, 1)
+    | Delete (q, _) -> (q, 0)
+  in
+  Result.map (price ~time cfg moves) (Multi.P.check cfg g moves)
 
-let comm_only = { w_time = 0; w_comm = 1; w_mem = 0 }
-
-let scalarize w v = (w.w_time * v.time) + (w.w_comm * v.comm) + (w.w_mem * v.mem)
-
-type eval = {
-  comm : int;
-  makespan : int;
-  per_proc_time : int array;
-  peak_mem : int;
-}
-
-exception Replay of string
-
-(* Price a checker-validated strategy: each move's time accrues to its
-   acting processor, comm sums globally; peak occupancy is tracked by
-   replaying the rule engine alongside.  The checker ran first, so the
-   replay cannot fail — if it somehow does, the strategy is refused
-   rather than priced. *)
-let eval_with ~check ~start ~apply ~red_count ~proc ~price cfg g moves =
-  match check cfg g moves with
-  | Error _ as e -> e
-  | Ok _io ->
-      let p = cfg.Multi.p in
-      let per = Array.make p 0 in
-      let comm = ref 0 in
-      let peak = ref 0 in
-      let st = start cfg g in
-      let step m =
-        (match apply st m with Ok () -> () | Error e -> raise (Replay e));
-        let v = price m in
-        per.(proc m) <- per.(proc m) + v.time;
-        comm := !comm + v.comm;
-        for q = 0 to p - 1 do
-          peak := max !peak (red_count st q)
-        done
-      in
-      (match List.iter step moves with
-      | () ->
-          Ok
-            {
-              comm = !comm;
-              makespan = Array.fold_left max 0 per;
-              per_proc_time = per;
-              peak_mem = !peak;
-            }
-      | exception Replay e -> Error ("replay diverged from checker: " ^ e))
-
-let proc_rbp (m : Multi.Move.rbp) =
-  match m with Load (q, _) | Save (q, _) | Compute (q, _) | Delete (q, _) -> q
-
-let proc_prbp (m : Multi.Move.prbp) =
-  match m with Load (q, _) | Save (q, _) | Compute (q, _) | Delete (q, _) -> q
-
-let eval_rbp t cfg g moves =
-  eval_with ~check:Multi.R.check ~start:Multi.R.start ~apply:Multi.R.apply
-    ~red_count:Multi.R.red_count ~proc:proc_rbp
-    ~price:(t.rbp_move ~r:cfg.Multi.r) cfg g moves
-
-let eval_prbp t cfg g moves =
-  eval_with ~check:Multi.P.check ~start:Multi.P.start ~apply:Multi.P.apply
-    ~red_count:Multi.P.red_count ~proc:proc_prbp
-    ~price:(t.prbp_move ~r:cfg.Multi.r) cfg g moves
-
-(* Sane models price time independently of the capacity; work and path
-   floors evaluate at r = 1. *)
-let rbp_compute_time t v = (t.rbp_move ~r:1 (Multi.Move.Compute (0, v))).time
-
-let prbp_compute_time t u v =
-  (t.prbp_move ~r:1 (Multi.Move.Compute (0, (u, v)))).time
-
-let compute_work t ~game g =
-  match game with
-  | `Rbp ->
-      let acc = ref 0 in
-      for v = 0 to Dag.n_nodes g - 1 do
-        if not (Dag.is_source g v) then acc := !acc + rbp_compute_time t v
-      done;
-      !acc
-  | `Prbp ->
-      let acc = ref 0 in
-      Dag.iter_edges (fun _ u v -> acc := !acc + prbp_compute_time t u v) g;
-      !acc
-
-let critical_path t ~game g =
-  let n = Dag.n_nodes g in
-  if n = 0 then 0
-  else begin
-    let dist = Array.make n 0 in
-    Array.iter
-      (fun v ->
-        let w =
-          match game with
-          | `Rbp -> if Dag.is_source g v then 0 else rbp_compute_time t v
-          | `Prbp ->
-              (* every in-edge of [v] updates the same exclusive
-                 partial value, so they chain *)
-              Dag.fold_pred
-                (fun u acc -> acc + prbp_compute_time t u v)
-                g v 0
-        in
-        let best = Dag.fold_pred (fun u acc -> max acc dist.(u)) g v 0 in
-        dist.(v) <- best + w)
-      (Topo.sort g);
-    Array.fold_left max 0 dist
-  end
-
-let min_io_time t ~game =
-  match game with
-  | `Rbp ->
-      min
-        (t.rbp_move ~r:1 (Multi.Move.Load (0, 0))).time
-        (t.rbp_move ~r:1 (Multi.Move.Save (0, 0))).time
-  | `Prbp ->
-      min
-        (t.prbp_move ~r:1 (Multi.Move.Load (0, 0))).time
-        (t.prbp_move ~r:1 (Multi.Move.Save (0, 0))).time
-
-(* Every complete pebbling spends at least [compute_work] compute time
-   and performs at least [comm_lower] I/O moves (the certified I/O
-   floor of the configuration); the per-processor maximum is at least
-   the total divided by p. *)
-let makespan_lower t ~game ~p ~comm_lower g =
-  let total = compute_work t ~game g + (min_io_time t ~game * comm_lower) in
-  (total + p - 1) / p
+(* Every complete pebbling computes each non-source node (RBP) or each
+   edge (PRBP) once, at one time unit each, and performs at least
+   [comm_lower] I/O moves; the per-processor maximum is at least the
+   total divided by p. *)
+let makespan_lower ~game ~p ~comm_lower g =
+  let work =
+    match game with
+    | `Rbp -> Dag.n_nodes g - Dag.n_sources g
+    | `Prbp -> Dag.n_edges g
+  in
+  (work + comm_lower + p - 1) / p

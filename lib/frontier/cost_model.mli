@@ -1,78 +1,41 @@
-(** Per-move cost vectors for the multiprocessor games.
+(** The unit cost model of the multiprocessor games: the time axis of
+    the {!Frontier} sweeps.
 
-    The exact engines optimize one scalar — total I/O.  A cost model
-    widens each move into a vector of (compute time, communication
-    volume, resident memory), the three axes of the
-    Böhnlein–Papp–Yzelman trade-off; the {!Frontier} enumerator sweeps
-    ε-constraints over these axes and this module prices the points.
+    A compute, a load and a save each take one time unit on the
+    processor that plays them, and a delete takes none; a load or a
+    save also moves one word between fast and slow memory.  The exact
+    engines ({!Prbp_solver.Exact_multi}) minimize exactly that
+    communication volume, the total I/O; this module adds the time a
+    strategy spends on each processor, and a certified floor on the
+    largest such time. *)
 
-    A model is pluggable the way a [GAME] is: callers supply the
-    per-move pricing functions.  A scalarization whose per-move values
-    stay in [{0, 1}] is exactly an {!Prbp_solver.Engine.Make} 0-1 edge
-    cost — the default model's {!comm_only} weights recover precisely
-    the objective {!Prbp_solver.Exact_multi} optimizes, which is what
-    lets the enumerator reuse the exact engines unchanged.  Richer
-    scalarizations are evaluated by {!eval_rbp}/{!eval_prbp} replay
-    and optimized through the ε-constraint sweep instead. *)
-
-type vec = {
-  time : int;  (** compute/transfer time units the move occupies *)
-  comm : int;  (** words moved between fast and slow memory *)
-  mem : int;  (** resident fast-memory capacity the move requires *)
-}
-
-type t = {
-  name : string;
-  rbp_move : r:int -> Prbp_pebble.Multi.Move.rbp -> vec;
-  prbp_move : r:int -> Prbp_pebble.Multi.Move.prbp -> vec;
-}
-
-val unit : t
-(** The canonical model: a compute costs one time unit and no
-    communication, a load/save costs one time unit and one word, a
-    delete is free; every move requires the configured capacity [r].
-    Under {!comm_only} weights this scalarizes to exactly the total
-    I/O the exact engines minimize. *)
-
-val make : ?name:string -> compute_time:int -> io_time:int -> unit -> t
-(** A uniform model with the given per-compute and per-I/O times. *)
-
-type weights = { w_time : int; w_comm : int; w_mem : int }
-
-val comm_only : weights
-(** [{ w_time = 0; w_comm = 1; w_mem = 0 }]. *)
-
-val scalarize : weights -> vec -> int
+val name : string
+(** ["unit"]: the frontier's ["model"] on the wire. *)
 
 (** {1 Replay pricing} *)
 
 type eval = {
   comm : int;
-      (** total communication volume as priced by the model (equal to
-          the checker's I/O cost for any model pricing one word per
-          I/O move, like {!unit}) *)
+      (** total communication volume: the certified I/O cost of the
+          strategy *)
   makespan : int;
       (** max over processors of that processor's summed move times —
           a volume proxy for schedule length that ignores
           dependency-induced idling *)
   per_proc_time : int array;
-  peak_mem : int;
-      (** peak per-processor fast-memory occupancy over the replay *)
 }
 
 val eval_rbp :
-  t ->
   Prbp_pebble.Multi.config ->
   Prbp_dag.Dag.t ->
   Prbp_pebble.Multi.Move.rbp list ->
   (eval, string) result
-(** Validate the strategy through {!Prbp_pebble.Multi.R.check}, then
-    replay it pricing every move: each move's [time] accrues to its
-    acting processor, [comm] sums globally.  [Error] iff the checker
+(** Check the strategy through {!Prbp_pebble.Multi.R.check}, one
+    replay through the literal rules, and price its moves: each move's
+    time accrues to its acting processor.  [Error] iff the checker
     rejects the strategy — a priced cost is always a certified cost. *)
 
 val eval_prbp :
-  t ->
   Prbp_pebble.Multi.config ->
   Prbp_dag.Dag.t ->
   Prbp_pebble.Multi.Move.prbp list ->
@@ -80,32 +43,13 @@ val eval_prbp :
 
 (** {1 Certified makespan floors} *)
 
-val compute_work : t -> game:[ `Rbp | `Prbp ] -> Prbp_dag.Dag.t -> int
-(** The compute time every complete one-shot pebbling must spend:
-    each non-source node (RBP) / each edge (PRBP) is computed at least
-    once. *)
-
-val critical_path : t -> game:[ `Rbp | `Prbp ] -> Prbp_dag.Dag.t -> int
-(** The longest dependency chain in compute time (for PRBP every
-    in-edge of a node updates the same exclusive partial value, so a
-    node's weight is the sum of its in-edge compute times).  A floor
-    on the {e dependency-respecting} schedule length no processor
-    count overcomes — reported for context, but deliberately {e not}
-    folded into {!makespan_lower}: the volume-proxy makespan of a
-    strategy that migrates a chain across processors can legitimately
-    undercut it. *)
-
 val makespan_lower :
-  t ->
-  game:[ `Rbp | `Prbp ] ->
-  p:int ->
-  comm_lower:int ->
-  Prbp_dag.Dag.t ->
-  int
+  game:[ `Rbp | `Prbp ] -> p:int -> comm_lower:int -> Prbp_dag.Dag.t -> int
 (** A certified lower bound on the (volume-proxy) makespan of {e every}
-    complete [p]-processor pebbling, given a certified lower bound
-    [comm_lower] on its communication volume:
-    [⌈(compute_work + t_io·comm_lower) / p⌉], where [t_io] is the
-    cheapest per-I/O time the model prices — the summed per-processor
-    times total at least the mandatory compute work plus the mandatory
-    I/O time, and the maximum is at least the average. *)
+    complete one-shot [p]-processor pebbling, given a certified lower
+    bound [comm_lower] on its communication volume:
+    [⌈(work + comm_lower) / p⌉], where [work] is the compute time every
+    such pebbling spends (each non-source node (RBP) / each edge
+    (PRBP) is computed once) — the summed per-processor times total at
+    least the mandatory compute work plus the mandatory I/O time, and
+    the maximum is at least the average. *)

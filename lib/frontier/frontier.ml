@@ -126,40 +126,27 @@ let bracket_probe ~budget ?rules game ~p ~r g =
             [ { Solver.Convergence.t_s = Clock.elapsed_s t0; lower; upper } ];
         }
 
-let checker_cost cfg g = function
-  | Multi_bounds.Rbp_mc_moves mv -> (
-      match Multi.R.check cfg g mv with Ok c -> Some c | Error _ -> None)
-  | Multi_bounds.Prbp_mc_moves mv -> (
-      match Multi.P.check cfg g mv with Ok c -> Some c | Error _ -> None)
-
-let witness_makespan model cfg g = function
-  | Multi_bounds.Rbp_mc_moves mv -> (
-      match Cost_model.eval_rbp model cfg g mv with
-      | Ok e -> Some e.Cost_model.makespan
-      | Error _ -> None)
-  | Multi_bounds.Prbp_mc_moves mv -> (
-      match Cost_model.eval_prbp model cfg g mv with
-      | Ok e -> Some e.Cost_model.makespan
-      | Error _ -> None)
+let eval_witness cfg g = function
+  | Multi_bounds.Rbp_mc_moves mv -> Cost_model.eval_rbp cfg g mv
+  | Multi_bounds.Prbp_mc_moves mv -> Cost_model.eval_prbp cfg g mv
 
 (* Every certificate is re-checked here, independently of the engine
-   or portfolio that produced it: the witness must replay through the
-   Prbp_pebble.Multi rule engine at exactly the claimed upper cost. *)
-let point_of_probe ~model game ~p ~r g (iv : interval) =
+   or portfolio that produced it: one replay through the literal rules
+   ([Cost_model.eval_*]) certifies the witness's cost, which must be
+   exactly the claimed upper cost, and prices its makespan. *)
+let point_of_probe game ~p ~r g (iv : interval) =
   let cfg = Multi.config ~p ~r () in
   let comm_lower = iv.i_lower in
   let verified, comm_upper, time_upper =
-    match iv.i_witness with
-    | None -> (false, iv.i_upper, None)
-    | Some w -> (
-        match checker_cost cfg g w with
-        | None -> (false, iv.i_upper, None)
-        | Some c ->
-            let cu = match iv.i_upper with Some u -> u | None -> c in
-            (c = cu, Some cu, witness_makespan model cfg g w))
+    match Option.map (eval_witness cfg g) iv.i_witness with
+    | None | Some (Error _) -> (false, iv.i_upper, None)
+    | Some (Ok e) ->
+        let c = e.Cost_model.comm in
+        let cu = match iv.i_upper with Some u -> u | None -> c in
+        (c = cu, Some cu, Some e.Cost_model.makespan)
   in
   let time_lower =
-    Cost_model.makespan_lower model ~game:(cm_game game) ~p ~comm_lower g
+    Cost_model.makespan_lower ~game:(cm_game game) ~p ~comm_lower g
   in
   let settled = match comm_upper with Some u -> u = comm_lower | None -> false in
   {
@@ -198,8 +185,7 @@ let run_probe ~budget ?rules ?jobs game ~p ~r g =
   if exact_reach game ~p g then exact_probe ~budget ?jobs game ~p ~r g
   else bracket_probe ~budget ?rules game ~p ~r g
 
-let sweep ?(budget = Solver.Budget.default) ?(model = Cost_model.unit) ?rules
-    ?jobs game ~p ~rs g =
+let sweep ?(budget = Solver.Budget.default) ?rules ?jobs game ~p ~rs g =
   if p < 1 then invalid_arg "Frontier.sweep: p must be >= 1";
   let rs = List.sort_uniq compare rs in
   if rs = [] then invalid_arg "Frontier.sweep: rs must be non-empty";
@@ -228,13 +214,13 @@ let sweep ?(budget = Solver.Budget.default) ?(model = Cost_model.unit) ?rules
       match run_probe ~budget:(slice idx) ?rules ?jobs game ~p ~r g with
       | Infeasible -> infeasible := r :: !infeasible
       | Interval iv ->
-          points := point_of_probe ~model game ~p ~r g iv :: !points)
+          points := point_of_probe game ~p ~r g iv :: !points)
     rs;
   let points = mark_dominated (List.rev !points) in
   {
     game;
     p;
-    model = model.Cost_model.name;
+    model = Cost_model.name;
     points;
     infeasible_rs = List.rev !infeasible;
     exhausted = List.exists (fun pt -> not pt.settled) points;

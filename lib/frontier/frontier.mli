@@ -6,8 +6,8 @@
     each requested [r] it minimizes communication — exactly
     ({!Prbp_solver.Exact_multi}) when the instance is in exact reach,
     by certified bracket ({!Prbp_bounds.Multi_bounds}) beyond it — and
-    prices the resulting witness through a {!Cost_model} to attach the
-    time axis.  All probes run under {e one} shared
+    prices the resulting witness under the unit {!Cost_model} to attach
+    the time axis.  All probes run under {e one} shared
     {!Prbp_solver.Solver.Budget}; whatever each probe returns is a
     certified interval, so the sweep is {e anytime}: stopping early
     widens intervals but never invalidates a point.
@@ -16,8 +16,10 @@
     [comm_lower ≤ OPT_comm(r) ≤ comm_upper] and
     [time_lower ≤ makespan of every valid strategy at r], with
     [(comm_upper, time_upper)] {e jointly} achieved by the embedded
-    witness strategy (replayed through the {!Prbp_pebble.Multi}
-    checkers before being believed).  Objective-space regions:
+    witness strategy.  One replay through the literal rules
+    ({!Cost_model.eval_rbp} / [eval_prbp], which run the
+    {!Prbp_pebble.Multi} checkers) both certifies the witness's cost
+    and prices its makespan before either is believed.  Objective-space regions:
     everything componentwise above a point's
     [(r, comm_upper, time_upper)] corner is {b certified dominated}
     (the witness beats it), everything below [(comm_lower, time_lower)]
@@ -60,7 +62,8 @@ type point = {
   verified : bool;
       (** the witness replayed through the {!Prbp_pebble.Multi}
           checker at exactly [comm_upper] (always re-checked here,
-          independently of the producing engine) *)
+          independently of the producing engine, in the same replay
+          that prices [time_upper]) *)
   settled : bool;  (** [comm_upper = Some comm_lower] *)
   dominated : bool;
       (** some other point's [(r, comm_upper, time_upper)] corner
@@ -77,7 +80,7 @@ type point = {
 type t = {
   game : game;
   p : int;
-  model : string;  (** {!Cost_model.t.name} used for the time axis *)
+  model : string;  (** {!Cost_model.name}, the time axis' model *)
   points : point list;  (** one per feasible swept [r], ascending *)
   infeasible_rs : int list;
       (** swept capacities below the game's feasibility threshold *)
@@ -93,7 +96,6 @@ val open_points : t -> point list
 
 val sweep :
   ?budget:Prbp_solver.Solver.Budget.t ->
-  ?model:Cost_model.t ->
   ?rules:string list ->
   ?jobs:int ->
   game ->
@@ -104,10 +106,9 @@ val sweep :
 (** Sweep the memory ε-constraint over [rs] (deduplicated, sorted
     ascending) under one shared budget: a wall-clock deadline is split
     evenly across the axes still to run, and an axis that finishes
-    early donates its slack to the rest.  [model] defaults to
-    {!Cost_model.unit}; [rules] restricts the pooled lower-bound
-    registry for bracketed points; [jobs] is threaded to the exact
-    engine.
+    early donates its slack to the rest.  [rules] restricts the pooled
+    lower-bound registry for bracketed points; [jobs] is threaded to
+    the exact engine.
     @raise Invalid_argument if [p < 1], [rs] is empty, or any [r < 1]. *)
 
 type min_r =

@@ -22,16 +22,26 @@
     interesting.
 
     These semantics are this library's (conservative) formalization of
-    the extension the paper only sketches; they specialize exactly to
-    the Section 1/3 games at [p = 1] (tested). *)
+    the extension the paper only sketches.  Both games are one-shot:
+    each node (RBP-MC) or edge (PRBP-MC) is computed once over all
+    processors.
+
+    {b Rules.}  This module holds only the move vocabulary and the two
+    checkers.  The checkers replay a strategy through the literal rules
+    of {!Verifier}, which are written once for [p] processors; a
+    multiprocessor move is a single-processor move played by its
+    processor.  At [p = 1] the rules are the Section-1/3 games by
+    construction, and the differential tests of both (the [multi] and
+    [verifier] suites, and the pinned verdicts of
+    [test/golden/multi_checker_v1.jsonl]) check that reduction. *)
 
 type config = {
   p : int;  (** number of processors *)
   r : int;  (** fast-memory capacity per processor *)
-  one_shot : bool;
 }
 
-val config : ?one_shot:bool -> p:int -> r:int -> unit -> config
+val config : p:int -> r:int -> unit -> config
+(** @raise Invalid_argument unless [p ≥ 1] and [r ≥ 1]. *)
 
 module Single = Move
 (** The single-processor move vocabulary of {!Move}, under a name that
@@ -56,43 +66,23 @@ module Move : sig
   val pp_prbp : Format.formatter -> prbp -> unit
 end
 
-(** {1 RBP-MC engine} *)
+(** {1 Checkers} *)
 
 module R : sig
-  type t
-
-  val start : config -> Prbp_dag.Dag.t -> t
-
-  val apply : t -> Move.rbp -> (unit, string) result
-
-  val io_cost : t -> int
-
-  val red_count : t -> int -> int
-  (** Occupancy of one processor's fast memory. *)
-
-  val is_terminal : t -> bool
-
   val check :
     config -> Prbp_dag.Dag.t -> Move.rbp list -> (int, string) result
+  (** Replay through {!Verifier.R.step} on each move's processor and
+      require every sink blue at the end; [Ok cost] is the certified
+      I/O cost (loads and saves over all processors).  An [Error]
+      names the first rejected move, ["move #i (…): reason"], or says
+      the pebbling is incomplete. *)
 end
 
-(** {1 PRBP-MC engine} *)
-
 module P : sig
-  type t
-
-  val start : config -> Prbp_dag.Dag.t -> t
-
-  val apply : t -> Move.prbp -> (unit, string) result
-
-  val io_cost : t -> int
-
-  val red_count : t -> int -> int
-
-  val is_terminal : t -> bool
-
   val check :
     config -> Prbp_dag.Dag.t -> Move.prbp list -> (int, string) result
+  (** Like {!R.check}, through {!Verifier.P.step}; terminal means every
+      edge marked and every sink blue. *)
 end
 
 (** {1 Single-processor specialization} *)

@@ -204,6 +204,9 @@ let normalize cfg g moves =
     (fun (m : Move.R.t) ->
       let redundant =
         match m with
+        | (Move.R.Load v | Move.R.Save v) when not (Dag.is_node g v) ->
+            (* not redundant but illegal: [apply] rejects it *)
+            false
         | Move.R.Load v -> Bitset.mem t.red v
         | Move.R.Save v ->
             (* in the no-delete variant a save also removes the red

@@ -97,7 +97,9 @@ val normalize : config -> Prbp_dag.Dag.t -> Move.R.t list -> Move.R.t list
     of nodes already blue — which are legal in RBP but never helpful.
     The result is a valid strategy of cost ≤ the original, and is free
     of the wasteful moves that have no PRBP counterpart, as required by
-    {!Move.rbp_to_prbp} (Proposition 4.1). *)
+    {!Move.rbp_to_prbp} (Proposition 4.1).
+    @raise Failure on an illegal strategy, an out-of-range node id
+    included. *)
 
 val pp_state : Format.formatter -> t -> unit
 (** One-line snapshot: red / blue / computed sets and cost so far,

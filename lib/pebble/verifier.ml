@@ -5,6 +5,22 @@ module Dag = Prbp_dag.Dag
    from one state without copying it. *)
 module S = Set.Make (Int)
 
+(* A red pebble belongs to one processor: processor [q]'s pebble on node
+   [v] is the key [q·n + v].  The red pebbles of the one-processor game
+   are therefore the nodes themselves, and processor [q]'s pebbles are
+   the keys in [q·n, (q+1)·n). *)
+let key ~n q v = (q * n) + v
+
+(* How many of the keys in [s] are processor [q]'s pebbles.  When every
+   pebble sits on processor 0 (always in the one-processor game, and in
+   a lifted strategy) this is one [S.cardinal]. *)
+let count_on ~n q s =
+  if S.is_empty s || S.max_elt s < n then if q = 0 then S.cardinal s else 0
+  else
+    S.to_seq_from (q * n) s
+    |> Seq.take_while (fun k -> k < (q + 1) * n)
+    |> Seq.length
+
 module R = struct
   type state = {
     red : S.t;
@@ -16,44 +32,50 @@ module R = struct
   let initial g =
     { red = S.empty; blue = S.of_list (Dag.sources g); computed = S.empty; io = 0 }
 
-  let step ~r g st (m : Move.R.t) =
+  let step ~r ?(p = 1) ?(q = 0) g st (m : Move.R.t) =
+    let n = Dag.n_nodes g in
     match m with
     | Move.R.(Load v | Save v | Compute v | Delete v) when not (Dag.is_node g v)
       ->
         Error "no such node"
+    | _ when q < 0 || q >= p -> Error "no such processor"
     | Move.R.Load v ->
-        (* "place a red pebble on any node v that has a blue pebble" *)
+        (* "place a red pebble on any node v that has a blue pebble" —
+           in processor q's fast memory *)
         if not (S.mem v st.blue) then Error "load: no blue pebble"
-        else if S.mem v st.red then
+        else if S.mem (key ~n q v) st.red then
           (* legal but a pure waste: state unchanged, cost paid *)
           Ok { st with io = st.io + 1 }
-        else if S.cardinal st.red >= r then Error "load: capacity"
-        else Ok { st with red = S.add v st.red; io = st.io + 1 }
+        else if count_on ~n q st.red >= r then Error "load: capacity"
+        else Ok { st with red = S.add (key ~n q v) st.red; io = st.io + 1 }
     | Move.R.Save v ->
-        (* "place a blue pebble on any node v that has a red pebble" *)
-        if not (S.mem v st.red) then Error "save: no red pebble"
+        (* "place a blue pebble on any node v that has a red pebble";
+           slow memory is shared *)
+        if not (S.mem (key ~n q v) st.red) then Error "save: no red pebble"
         else Ok { st with blue = S.add v st.blue; io = st.io + 1 }
     | Move.R.Compute v ->
         (* "if all the inputs of a non-source node v have a red pebble,
-           then also place a red pebble on v" — once per node *)
+           then also place a red pebble on v" — all on processor q, and
+           once per node over all processors *)
         if Dag.is_source g v then Error "compute: source"
         else if S.mem v st.computed then Error "compute: one-shot"
-        else if not (List.for_all (fun u -> S.mem u st.red) (Dag.preds g v))
+        else if
+          not (List.for_all (fun u -> S.mem (key ~n q u) st.red) (Dag.preds g v))
         then Error "compute: inputs not red"
-        else if S.mem v st.red then
+        else if S.mem (key ~n q v) st.red then
           Ok { st with computed = S.add v st.computed }
-        else if S.cardinal st.red >= r then Error "compute: capacity"
+        else if count_on ~n q st.red >= r then Error "compute: capacity"
         else
           Ok
             {
               st with
-              red = S.add v st.red;
+              red = S.add (key ~n q v) st.red;
               computed = S.add v st.computed;
             }
     | Move.R.Delete v ->
         (* "remove a red pebble from any node" *)
-        if not (S.mem v st.red) then Error "delete: no red pebble"
-        else Ok { st with red = S.remove v st.red }
+        if not (S.mem (key ~n q v) st.red) then Error "delete: no red pebble"
+        else Ok { st with red = S.remove (key ~n q v) st.red }
     | Move.R.Slide _ -> Error "slide: not part of the base game"
 
   let is_terminal g st = List.for_all (fun v -> S.mem v st.blue) (Dag.sinks g)
@@ -73,7 +95,15 @@ module R = struct
 end
 
 module P = struct
-  type pebble = No_pebble | Blue_only | Blue_and_light | Dark_only
+  (* Node [v] as processor [q] sees it.  [Dark_elsewhere]: another
+     processor holds v's partial value, which only a multiprocessor
+     game can show. *)
+  type pebble =
+    | No_pebble
+    | Blue_only
+    | Blue_and_light
+    | Dark_only
+    | Dark_elsewhere
 
   type state = {
     blue : S.t;
@@ -83,25 +113,44 @@ module P = struct
     io : int;
   }
 
-  (* A light red pebble only ever sits beside a blue one, and a dark
-     red one never does, so the three sets spell out one of the four
-     pebble states per node. *)
-  let pebble_of st v =
-    if S.mem v st.dark then Dark_only
-    else if S.mem v st.light then Blue_and_light
+  (* A light red pebble only ever sits beside a blue one; a dark red
+     one never does, and at most one processor holds a node's dark
+     pebble.  So the three sets spell out one of these states per node
+     as each processor sees it. *)
+  let rec dark_from ~p ~n st v q =
+    q < p && (S.mem (key ~n q v) st.dark || dark_from ~p ~n st v (q + 1))
+
+  let pebble_of ~p ~n st q v =
+    if S.mem (key ~n q v) st.dark then Dark_only
+    else if S.mem (key ~n q v) st.light then Blue_and_light
     else if S.mem v st.blue then Blue_only
+    else if dark_from ~p ~n st v 0 then Dark_elsewhere
     else No_pebble
 
-  let set st v p =
-    let put b s = if b then S.add v s else S.remove v s in
+  let put b k s = if b then S.add k s else S.remove k s
+
+  (* [s] without the keys of node [v] on processors [q..p-1], but
+     [keep]'s *)
+  let rec drop_copies ~p ~n ~keep v q s =
+    if q >= p then s
+    else
+      drop_copies ~p ~n ~keep v (q + 1)
+        (if q = keep then s else S.remove (key ~n q v) s)
+
+  (* Give node [v] the pebble state [pb] on processor [q].  A new dark
+     pebble is a new partial value: every other processor's light copy
+     of [v] is stale and goes too. *)
+  let set ~p ~n st q v pb =
+    let light = put (pb = Blue_and_light) (key ~n q v) st.light in
     {
       st with
-      blue = put (p = Blue_only || p = Blue_and_light) st.blue;
-      light = put (p = Blue_and_light) st.light;
-      dark = put (p = Dark_only) st.dark;
+      blue = put (pb = Blue_only || pb = Blue_and_light) v st.blue;
+      light =
+        (if pb = Dark_only then drop_copies ~p ~n ~keep:q v 0 light else light);
+      dark = put (pb = Dark_only) (key ~n q v) st.dark;
     }
 
-  let red_count st = S.cardinal st.light + S.cardinal st.dark
+  let red_count ~n st q = count_on ~n q st.light + count_on ~n q st.dark
 
   let initial g =
     {
@@ -120,29 +169,33 @@ module P = struct
   let all_out_marked g st v =
     List.for_all (fun w -> is_marked g st v w) (Dag.succs g v)
 
-  let step ~r g st (m : Move.P.t) =
+  let step ~r ?(p = 1) ?(q = 0) g st (m : Move.P.t) =
+    let n = Dag.n_nodes g in
     match m with
     | Move.P.(Load v | Save v | Delete v) when not (Dag.is_node g v) ->
         Error "no such node"
     | Move.P.Compute (u, v) when not (Dag.is_node g u && Dag.is_node g v) ->
         Error "compute: no such edge"
+    | _ when q < 0 || q >= p -> Error "no such processor"
     | Move.P.Load v -> (
         (* "place a light red pebble on any node v that has a blue
-           pebble" *)
-        match pebble_of st v with
+           pebble" — in processor q's fast memory *)
+        match pebble_of ~p ~n st q v with
         | Blue_only ->
-            if red_count st >= r then Error "load: capacity"
-            else Ok { (set st v Blue_and_light) with io = st.io + 1 }
+            if red_count ~n st q >= r then Error "load: capacity"
+            else Ok { (set ~p ~n st q v Blue_and_light) with io = st.io + 1 }
         | Blue_and_light -> Ok { st with io = st.io + 1 }
-        | No_pebble | Dark_only -> Error "load: no blue pebble")
+        | No_pebble | Dark_only | Dark_elsewhere -> Error "load: no blue pebble")
     | Move.P.Save v -> (
         (* "replace a dark red pebble ... by a blue and a light red" *)
-        match pebble_of st v with
-        | Dark_only -> Ok { (set st v Blue_and_light) with io = st.io + 1 }
+        match pebble_of ~p ~n st q v with
+        | Dark_only ->
+            Ok { (set ~p ~n st q v Blue_and_light) with io = st.io + 1 }
         | _ -> Error "save: no dark red pebble")
     | Move.P.Compute (u, v) -> (
         (* conditions (i)-(iii) of the partial compute rule, plus the
-           one-shot restriction on edges *)
+           one-shot restriction on edges; a partial value lives on one
+           processor, so another processor's dark pebble blocks [v] *)
         match Dag.edge_id g u v with
         | exception Not_found -> Error "compute: no such edge"
         | e ->
@@ -151,36 +204,38 @@ module P = struct
               Error "compute: input not fully computed"
             else if
               not
-                (match pebble_of st u with
+                (match pebble_of ~p ~n st q u with
                 | Blue_and_light | Dark_only -> true
                 | _ -> false)
             then Error "compute: input not red"
             else begin
-              match pebble_of st v with
+              match pebble_of ~p ~n st q v with
               | Blue_only -> Error "compute: target has only a blue pebble"
-              | No_pebble when red_count st >= r -> Error "compute: capacity"
+              | Dark_elsewhere ->
+                  Error "compute: target is dark red on another processor"
+              | No_pebble when red_count ~n st q >= r ->
+                  Error "compute: capacity"
               | No_pebble | Blue_and_light | Dark_only ->
-                  Ok { (set st v Dark_only) with marked = S.add e st.marked }
+                  Ok
+                    {
+                      (set ~p ~n st q v Dark_only) with
+                      marked = S.add e st.marked;
+                    }
             end)
     | Move.P.Delete v -> (
         (* light red always removable; dark red only once every output
            edge is marked *)
-        match pebble_of st v with
-        | Blue_and_light -> Ok (set st v Blue_only)
+        match pebble_of ~p ~n st q v with
+        | Blue_and_light -> Ok (set ~p ~n st q v Blue_only)
         | Dark_only ->
-            if all_out_marked g st v then Ok (set st v No_pebble)
+            if all_out_marked g st v then Ok (set ~p ~n st q v No_pebble)
             else Error "delete: dark red with unmarked out-edges"
         | _ -> Error "delete: no red pebble")
     | Move.P.Clear _ -> Error "clear: not part of the base game"
 
   let is_terminal g st =
     S.cardinal st.marked = Dag.n_edges g
-    && List.for_all
-         (fun v ->
-           match pebble_of st v with
-           | Blue_only | Blue_and_light -> true
-           | _ -> false)
-         (Dag.sinks g)
+    && List.for_all (fun v -> S.mem v st.blue) (Dag.sinks g)
 
   let run ~r g moves =
     List.fold_left
@@ -239,7 +294,9 @@ let agree_prbp ~r g moves =
         else if
           not
             (List.for_all
-               (fun v -> pebble_eq (Prbp.pebble eng v) (P.pebble_of st v))
+               (fun v ->
+                 pebble_eq (Prbp.pebble eng v)
+                   (P.pebble_of ~p:1 ~n:(Dag.n_nodes g) st 0 v))
                (List.init (Dag.n_nodes g) Fun.id))
         then errf "pebble state mismatch"
         else if

@@ -307,9 +307,10 @@ let cache_key (rq : Wire.request) ~dag_hash budget_part =
 
 (* ------------------------------------------------------------------ *)
 (* Re-verification: a cached certificate is replayed through the
-   games' own checkers ([Rbp.check], [Prbp.check], [Multi.*.check])
-   against the request's DAG before it is served.  [Some cost] = the
-   strategy is valid and costs [cost]. *)
+   games' own checkers ([Rbp.check], [Prbp.check], and for the
+   multiprocessor games [Multi.*.check], which run the literal rules of
+   [Verifier]) against the request's DAG before it is served.
+   [Some cost] = the strategy is valid and costs [cost]. *)
 
 let checked_cost ~(rq : Wire.request) g strategy =
   let r = rq.r in

@@ -31,8 +31,6 @@ let sort2 (a : int array) lo len =
   done
 
 let check_cfg ~what (cfg : Multi.config) =
-  if not cfg.Multi.one_shot then
-    invalid_arg (what ^ ": only the one-shot multiprocessor game");
   if cfg.Multi.p > 8 then invalid_arg (what ^ ": at most 8 processors")
 
 (* {1 RBP-MC} *)

@@ -14,11 +14,11 @@
     per-processor masks, cutting the reachable space by up to [p!].
     [solve ~want_strategy:true] disables the canonicalization — its
     moves name concrete processors and replay through
-    {!Prbp_pebble.Multi}'s rule engines — and therefore explores more
+    {!Prbp_pebble.Multi}'s checkers — and therefore explores more
     states.
 
-    {b Limits.}  One-shot configs only ([one_shot = false] raises
-    [Invalid_argument]), at most 8 processors, at most 62 nodes (and,
+    {b Limits.}  At most 8 processors (more raises
+    [Invalid_argument]), at most 62 nodes (and,
     for PRBP-MC, 62 edges).  The state space grows like the
     single-processor games raised to the [p]-th power, so in practice
     expect [p ≤ 3] and [n ≲ 12]; past the budget the solves return a

@@ -319,18 +319,53 @@ let dag_of (seed, layers, width) =
   Prbp.Graphs.Random_dag.make ~seed ~layers ~width ~density:0.35
     ~max_in_degree:3 ()
 
+(* The bracket contains the optimum.  An exact solve that runs out of
+   its budget still certifies an interval, and the two certified
+   intervals must then intersect. *)
+let contains ?budget game ~r g =
+  let module S = Prbp.Solver in
+  (* the exact verdict as a certified interval [lower, upper] *)
+  let interval = function
+    | S.Optimal o -> Some (o.S.cost, Some o.S.cost)
+    | S.Bounded x -> Some (x.S.lower, x.S.upper)
+    | S.Unsolvable _ -> None
+  in
+  let exact =
+    match game with
+    | `Rbp -> interval (Prbp.Exact_rbp.solve ?budget (Prbp.Rbp.config ~r ()) g)
+    | `Prbp ->
+        interval
+          (Prbp.Exact_prbp.solve ?budget (Prbp.Prbp_game.config ~r ()) g)
+  in
+  match (bracket game ~r g, exact) with
+  | Error _, None -> true
+  | Error _, Some (_, upper) -> upper = None
+  | Ok _, None -> false
+  | Ok b, Some (lower, upper) -> (
+      lower <= b.Bracket.upper
+      &&
+      match upper with
+      | Some u -> b.Bracket.lower.Lower.bound <= u
+      | None -> true)
+
 let prop_contains game label =
   qcase ~count:25 (label ^ " brackets contain the exact optimum") gen_dag
-    (fun params ->
-      let g = dag_of params in
-      let r = 3 in
-      match bracket game ~r g with
-      | Error _ -> exact game ~r g = None
-      | Ok b -> (
-          match exact game ~r g with
-          | None -> false
-          | Some opt ->
-              b.Bracket.lower.Lower.bound <= opt && opt <= b.Bracket.upper))
+    (fun params -> contains game ~r:3 (dag_of params))
+
+(* A DAG of the property's generator on which the exact PRBP solve at
+   r = 3 runs out of its default budget ([9, 19] against the bracket's
+   [6, 18]); here a small budget truncates it sooner. *)
+let test_truncated_exact_intersects () =
+  let g = dag_of (622, 3, 3) in
+  let budget = Prbp.Solver.Budget.v ~max_states:20_000 () in
+  check_true "the exact solve is truncated"
+    (match
+       Prbp.Exact_prbp.solve ~budget (Prbp.Prbp_game.config ~r:3 ()) g
+     with
+    | Prbp.Solver.Bounded _ -> true
+    | _ -> false);
+  check_true "the certified intervals intersect"
+    (contains ~budget `Prbp ~r:3 g)
 
 let suite =
   [
@@ -349,5 +384,7 @@ let suite =
         case "certificates match the golden file" test_golden_certificates;
         prop_contains `Rbp "RBP";
         prop_contains `Prbp "PRBP";
+        case "a truncated exact solve intersects the bracket"
+          test_truncated_exact_intersects;
       ] );
   ]

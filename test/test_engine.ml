@@ -180,12 +180,9 @@ let test_multi_strategy_replays () =
 
 let test_multi_rejects_bad_cfg () =
   let g = Prbp.Graphs.Basic.diamond () in
-  check_true "one-shot only"
+  check_true "at most 8 processors"
     (try
-       ignore
-         (Test_util.mrbp_opt_opt
-            { (mcfg ~p:2 ~r:3) with Prbp.Multi.one_shot = false }
-            g);
+       ignore (Test_util.mrbp_opt_opt (mcfg ~p:9 ~r:3) g);
        false
      with Invalid_argument _ -> true)
 
@@ -401,7 +398,7 @@ let suite =
         slow_case "multi p=1 on golden instances" test_multi_p1_goldens;
         case "multi p=2 sandwich bounds" test_multi_p2_sandwich;
         case "multi strategies replay" test_multi_strategy_replays;
-        case "multi rejects non-one-shot configs" test_multi_rejects_bad_cfg;
+        case "multi rejects p > 8 processors" test_multi_rejects_bad_cfg;
         case "generic threshold probe" test_thresholds_generic;
         case "unified Bounded outcomes" test_bounded_unified;
         qcheck_multi_p1;

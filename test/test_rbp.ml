@@ -93,6 +93,19 @@ let test_normalize () =
   check_int "normalized cost" 2 (rbp_cost ~r:4 g clean);
   check_int "moves dropped" (List.length wasteful - 2) (List.length clean)
 
+(* An illegal move fails [normalize] with its [Failure], whatever the
+   move: an out-of-range node id in a load or a save included. *)
+let test_normalize_out_of_range () =
+  let g = diamond () in
+  List.iter
+    (fun m ->
+      check_true
+        (Printf.sprintf "normalize [%s]" (R.to_string m))
+        (match Rbp.normalize (cfg 4) g [ m ] with
+        | _ -> false
+        | exception Failure _ -> true))
+    R.[ Load 4; Load (-1); Save 4; Save (-1); Compute 4 ]
+
 let test_max_red_seen () =
   let g = diamond () in
   let t =
@@ -150,6 +163,7 @@ let suite =
         case "incomplete pebbling rejected" test_incomplete_rejected;
         case "wasteful moves stay legal" test_wasteful_moves_legal;
         case "normalize drops waste" test_normalize;
+        case "normalize fails on out-of-range nodes" test_normalize_out_of_range;
         case "red high-water mark" test_max_red_seen;
         case "errors pinpoint the move" test_error_message_pinpoints_move;
         case "operation counters" test_run_counts;

@@ -122,18 +122,18 @@ let mprbp_strategy ?budget cfg g =
   strategy_of "Exact_multi.prbp"
     (Prbp.Exact_multi.prbp_solve ?budget ~want_strategy:true cfg g)
 
-(* Compare [fresh] with the golden file [golden/name] line by line.  The
-   file sits next to the test binary, where the dune rule copies it. *)
+(* The non-empty lines of the golden file [golden/name].  The file sits
+   next to the test binary, where the dune rule copies it. *)
+let golden_lines name =
+  In_channel.with_open_bin
+    (Filename.concat (Filename.dirname Sys.executable_name) ("golden/" ^ name))
+    In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+(* Compare [fresh] with the golden file [golden/name] line by line. *)
 let check_golden name fresh =
-  let golden =
-    In_channel.with_open_bin
-      (Filename.concat
-         (Filename.dirname Sys.executable_name)
-         ("golden/" ^ name))
-      In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
-  in
+  let golden = golden_lines name in
   check_int "record count" (List.length golden) (List.length fresh);
   List.iteri
     (fun i (want, got) ->

@@ -334,7 +334,21 @@ let test_out_of_range_rejected () =
         (Prbp.Multi.P.check mc g [ M.Load (0, v) ]);
       check_err (what "PRBP-MC compute (0,(%d,0))")
         (Prbp.Multi.P.check mc g [ M.Compute (0, (v, 0)) ]))
-    [ n; -1 ]
+    [ n; -1 ];
+  (* and so is a processor outside [0, p), here p = 2 *)
+  List.iter
+    (fun q ->
+      let what fmt = Printf.sprintf fmt q in
+      check_err (what "literal RBP load on processor %d")
+        (V.R.step ~r:3 ~p:2 ~q g (V.R.initial g) (R.Load 0));
+      check_err (what "literal PRBP load on processor %d")
+        (V.P.step ~r:3 ~p:2 ~q g (V.P.initial g) (P.Load 0));
+      check_err (what "RBP-MC load (%d,0)") (Prbp.Multi.R.check mc g [ M.Load (q, 0) ]);
+      check_err (what "PRBP-MC load (%d,0)")
+        (Prbp.Multi.P.check mc g [ M.Load (q, 0) ]);
+      check_err (what "PRBP-MC compute (%d,(0,1))")
+        (Prbp.Multi.P.check mc g [ M.Load (0, 0); M.Compute (q, (0, 1)) ]))
+    [ 2; -1 ]
 
 let suite =
   [
