@@ -398,7 +398,7 @@ let suite =
         slow_case "multi p=1 on golden instances" test_multi_p1_goldens;
         case "multi p=2 sandwich bounds" test_multi_p2_sandwich;
         case "multi strategies replay" test_multi_strategy_replays;
-        case "multi rejects p > 8 processors" test_multi_rejects_bad_cfg;
+        case "multi rejects p=9" test_multi_rejects_bad_cfg;
         case "generic threshold probe" test_thresholds_generic;
         case "unified Bounded outcomes" test_bounded_unified;
         qcheck_multi_p1;
