@@ -268,128 +268,300 @@ let induced g keep =
 (* Canonical order and content hash.
 
    Weisfeiler–Leman color refinement with individualize-and-refine:
-   node colors start uniform and are repeatedly replaced by the dense
-   rank of (old color, sorted predecessor colors, sorted successor
-   colors) until the partition stops splitting.  Signatures depend only
-   on the isomorphism class, so the refined ranks are invariant under
-   relabeling.  When the stable partition is not discrete (the DAG has
-   nontrivial candidate automorphisms), one node of the first ambiguous
-   class is individualized and refinement recurses, keeping the
+   node colors start uniform and, round by round, every node is
+   re-colored by (its color, its sorted predecessor colors, its sorted
+   successor colors), until a round splits no color class.  Signatures
+   depend only on the isomorphism class, so the refined colors are
+   invariant under relabeling.  When the stable partition is not
+   discrete (the DAG has nontrivial candidate automorphisms), each node
+   of the first ambiguous class in turn is individualized (given a
+   color below every other) and refinement recurses, keeping the
    lexicographically smallest resulting encoding — the classic
    canonical-labeling search.  The branch budget [canon_fuel] bounds
    that search: highly symmetric DAGs (e.g. matmul cubes) fall back to
    breaking the remaining ties by node id, which is still deterministic
-   and byte-stable, just no longer invariant under relabeling.  *)
+   and byte-stable, just no longer invariant under relabeling.
+
+   The partition is an ordered node array cut into cells (McKay–Piperno
+   style): a node's color is the position where its cell starts, so
+   colors order the cells exactly as dense ranks of the same classes
+   would, and a discrete partition's colors are the ids 0..n-1.  A
+   round re-sorts only the cells that can split: a node's signature can
+   only change if a neighbor's color did, and a round changes the color
+   of just the members of the parts a cell split into after its first
+   (the first keeps the cell's start), so only cells holding a neighbor
+   of those are re-sorted, each in place, sub-cells ordered by
+   signature.  An individualized node moves in front of every other
+   cell; the other colors move monotonically, so only the node's
+   neighbors' cells can split in the next round.  Every comparison —
+   signatures, the first ambiguous cell, branch order, the fuel and the
+   (color, id) fallback — therefore comes out as it does under a
+   re-sort of every node by dense rank each round, and the bytes are
+   the same.  All scratch belongs to one call: worker domains hash
+   concurrently. *)
 
 let canon_fuel = 64
 
-(* One refinement round: permutation-invariant dense re-ranking. *)
-let refine g rank =
-  let n = g.n in
-  let sig_of v =
-    let ps =
-      List.sort compare (fold_pred (fun u acc -> rank.(u) :: acc) g v [])
-    in
-    let ss =
-      List.sort compare (fold_succ (fun u acc -> rank.(u) :: acc) g v [])
-    in
-    (rank.(v), ps, ss)
-  in
-  let sigs = Array.init n sig_of in
-  let sorted = Array.copy sigs in
-  Array.sort compare sorted;
-  let tbl = Hashtbl.create (2 * n) in
-  let c = ref (-1) in
-  Array.iter
-    (fun s ->
-      if not (Hashtbl.mem tbl s) then begin
-        incr c;
-        Hashtbl.add tbl s !c
-      end)
-    sorted;
-  (Array.map (fun s -> Hashtbl.find tbl s) sigs, !c + 1)
+(* An ordered partition: [order] lists the nodes cell by cell,
+   [color.(v)] is the start of [v]'s cell in [order], and [cend.(s)]
+   is the end (exclusive) of the cell starting at [s] (meaningless
+   elsewhere). *)
+type partition = { order : int array; color : int array; cend : int array }
 
-let rec refine_fixpoint g rank classes =
-  let rank', classes' = refine g rank in
-  if classes' = classes then (rank', classes')
-  else refine_fixpoint g rank' classes'
+(* The scratch of one call: the signatures of the cell being sorted
+   (its members' sorted predecessor then successor colors, member i's
+   from [sigs.(off.(i))]), and [mark.(s) = stamp] for the cells queued
+   in the current round. *)
+type scratch = {
+  sigs : int array;
+  off : int array;
+  mark : int array;
+  mutable stamp : int;
+}
+
+(* Sort [a.(lo) .. a.(hi-1)] ascending; neighbor lists are short. *)
+let sort_range a lo hi =
+  if hi - lo > 16 then begin
+    let s = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare s;
+    Array.blit s 0 a lo (hi - lo)
+  end
+  else
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
+(* OCaml's order on int lists, on two runs of [a]: elementwise, a
+   proper prefix first. *)
+let compare_runs a i ilen j jlen =
+  let rec go k =
+    if k = ilen then if k = jlen then 0 else -1
+    else if k = jlen then 1
+    else
+      let c = Int.compare a.(i + k) a.(j + k) in
+      if c <> 0 then c else go (k + 1)
+  in
+  go 0
+
+(* Re-sort the cell [s, e) of [p] by signature under the current
+   colors, cut it where signatures differ, and return the starts of
+   the new parts after the first.  Colors are left alone, so every cell
+   of a round sees the colors of the last one. *)
+let split_cell g { sigs; off; _ } p s e =
+  let k = e - s in
+  let members = Array.sub p.order s k in
+  let pos = ref 0 in
+  Array.iteri
+    (fun i v ->
+      off.(i) <- !pos;
+      for slot = g.pred_off.(v) to g.pred_off.(v + 1) - 1 do
+        sigs.(!pos) <- p.color.(g.pred_src.(slot));
+        incr pos
+      done;
+      sort_range sigs off.(i) !pos;
+      let mid = !pos in
+      for slot = g.succ_off.(v) to g.succ_off.(v + 1) - 1 do
+        sigs.(!pos) <- p.color.(g.succ_tgt.(slot));
+        incr pos
+      done;
+      sort_range sigs mid !pos)
+    members;
+  let cmp i j =
+    let u = members.(i) and v = members.(j) in
+    let du = in_degree g u and dv = in_degree g v in
+    let c = compare_runs sigs off.(i) du off.(j) dv in
+    if c <> 0 then c
+    else
+      compare_runs sigs (off.(i) + du) (out_degree g u) (off.(j) + dv)
+        (out_degree g v)
+  in
+  let idx = Array.init k Fun.id in
+  Array.stable_sort cmp idx;
+  let parts = ref [] and last = ref s in
+  for q = 0 to k - 1 do
+    p.order.(s + q) <- members.(idx.(q));
+    if q > 0 && cmp idx.(q - 1) idx.(q) <> 0 then begin
+      p.cend.(!last) <- s + q;
+      last := s + q;
+      parts := (s + q) :: !parts
+    end
+  done;
+  p.cend.(!last) <- e;
+  !parts
+
+(* The non-singleton cells holding a neighbor of a member of the cells
+   starting at [starts]. *)
+let cells_around g sc p starts =
+  sc.stamp <- sc.stamp + 1;
+  let queued = ref [] in
+  let visit w =
+    let c = p.color.(w) in
+    if p.cend.(c) > c + 1 && sc.mark.(c) <> sc.stamp then begin
+      sc.mark.(c) <- sc.stamp;
+      queued := c :: !queued
+    end
+  in
+  List.iter
+    (fun s ->
+      for i = s to p.cend.(s) - 1 do
+        let x = p.order.(i) in
+        iter_pred visit g x;
+        iter_succ visit g x
+      done)
+    starts;
+  !queued
+
+(* Refine [p] in place, one round per call, until a round splits
+   nothing.  The members of the cells starting at [changed] have just
+   changed color, so only the cells around them can split. *)
+let rec refine g sc p changed =
+  let parts =
+    List.concat_map
+      (fun s -> split_cell g sc p s p.cend.(s))
+      (cells_around g sc p changed)
+  in
+  if parts <> [] then begin
+    List.iter
+      (fun s ->
+        for i = s to p.cend.(s) - 1 do
+          p.color.(p.order.(i)) <- s
+        done)
+      parts;
+    refine g sc p parts
+  end
+
+(* [p] with [v], a member of the cell [s, e), moved in front of every
+   other cell; cells before [s] shift up by one. *)
+let individualize p v s e =
+  let order = Array.copy p.order
+  and color = Array.copy p.color
+  and cend = Array.copy p.cend in
+  order.(0) <- v;
+  Array.blit p.order 0 order 1 s;
+  for i = 0 to s - 1 do
+    color.(p.order.(i)) <- p.color.(p.order.(i)) + 1
+  done;
+  let c = ref 0 in
+  while !c < s do
+    cend.(!c + 1) <- p.cend.(!c) + 1;
+    c := p.cend.(!c)
+  done;
+  let j = ref (s + 1) in
+  for i = s to e - 1 do
+    let u = p.order.(i) in
+    if u <> v then begin
+      order.(!j) <- u;
+      color.(u) <- s + 1;
+      incr j
+    end
+  done;
+  color.(v) <- 0;
+  cend.(0) <- 1;
+  cend.(s + 1) <- e;
+  { order; color; cend }
 
 (* Compact byte encoding of the graph under the node order [id_of]:
    node count then the sorted relabeled edge list.  This is what both
-   the hash and the lexicographic branch comparison consume. *)
+   the hash and the lexicographic branch comparison consume.  An edge
+   (u, v) sorts as the key u·n + v. *)
 let encode_under g id_of =
-  let m = n_edges g in
-  let es = Array.make m (0, 0) in
-  iter_edges (fun e u v -> es.(e) <- (id_of.(u), id_of.(v))) g;
-  Array.sort compare es;
-  let b = Buffer.create (16 + (m * 8)) in
-  Buffer.add_string b (string_of_int g.n);
+  let n = g.n in
+  let keys =
+    Array.init (n_edges g) (fun e -> (id_of.(g.esrc.(e)) * n) + id_of.(g.succ_tgt.(e)))
+  in
+  Array.sort Int.compare keys;
+  let b = Buffer.create (16 + (Array.length keys * 8)) in
+  Buffer.add_string b (string_of_int n);
   Array.iter
-    (fun (u, v) ->
+    (fun k ->
       Buffer.add_char b ';';
-      Buffer.add_string b (string_of_int u);
+      Buffer.add_string b (string_of_int (k / n));
       Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int v))
-    es;
+      Buffer.add_string b (string_of_int (k mod n)))
+    keys;
   Buffer.contents b
 
-(* Ties left by an exhausted search break by node id: stable sort of
-   nodes under (rank, id) yields the final ids. *)
-let ids_by_rank_tiebreak g rank =
-  let order = Array.init g.n (fun v -> (rank.(v), v)) in
-  Array.sort compare order;
-  let id_of = Array.make g.n 0 in
-  Array.iteri (fun i (_, v) -> id_of.(v) <- i) order;
+(* Ties left by an exhausted search break by node id: each cell's
+   members take its positions in increasing id order. *)
+let ids_by_color_tiebreak p =
+  let n = Array.length p.order in
+  let order = Array.copy p.order in
+  let s = ref 0 in
+  while !s < n do
+    sort_range order !s p.cend.(!s);
+    s := p.cend.(!s)
+  done;
+  let id_of = Array.make n 0 in
+  Array.iteri (fun i v -> id_of.(v) <- i) order;
   id_of
 
-(* Smallest ambiguous color class, by color value; [None] if the
-   partition is discrete. *)
-let first_ambiguous rank classes =
-  let count = Array.make classes 0 in
-  Array.iter (fun r -> count.(r) <- count.(r) + 1) rank;
-  let rec go c = if c >= classes then None else if count.(c) > 1 then Some c else go (c + 1) in
-  go 0
+let rec canon_search g sc p fuel =
+  let n = g.n in
+  let s = ref 0 in
+  while !s < n && p.cend.(!s) = !s + 1 do
+    incr s
+  done;
+  if !s = n then
+    (* discrete: the colors are the canonical ids *)
+    (encode_under g p.color, p.color)
+  else begin
+    let s = !s in
+    let e = p.cend.(s) in
+    let members = Array.sub p.order s (e - s) in
+    Array.sort Int.compare members;
+    let best = ref None in
+    Array.iter
+      (fun v ->
+        if !fuel > 0 then begin
+          decr fuel;
+          let p' = individualize p v s e in
+          refine g sc p' [ 0 ];
+          let enc = canon_search g sc p' fuel in
+          match !best with
+          | Some (b, _) when String.compare b (fst enc) <= 0 -> ()
+          | _ -> best := Some enc
+        end)
+      members;
+    match !best with
+    | Some enc -> enc
+    | None ->
+        (* out of fuel before exploring any branch *)
+        let id_of = ids_by_color_tiebreak p in
+        (encode_under g id_of, id_of)
+  end
 
-let rec canon_search g rank classes fuel =
-  let rank, classes = refine_fixpoint g rank classes in
-  match first_ambiguous rank classes with
-  | None ->
-      (* discrete: rank is the canonical id assignment *)
-      (encode_under g rank, rank)
-  | Some target ->
-      let members = ref [] in
-      for v = g.n - 1 downto 0 do
-        if rank.(v) = target then members := v :: !members
-      done;
-      let best = ref None in
-      List.iter
-        (fun v ->
-          if !fuel > 0 then begin
-            decr fuel;
-            (* [-1] is the same fresh color whichever member we pick,
-               so the branches stay comparable across relabelings *)
-            let rank' = Array.copy rank in
-            rank'.(v) <- -1;
-            let enc = canon_search g rank' classes fuel in
-            match !best with
-            | Some (e, _) when compare e (fst enc) <= 0 -> ()
-            | _ -> best := Some enc
-          end)
-        !members;
-      (match !best with
-      | Some enc -> enc
-      | None ->
-          (* out of fuel before exploring any branch *)
-          let id_of = ids_by_rank_tiebreak g rank in
-          (encode_under g id_of, id_of))
+let canonical g =
+  let enc, order =
+    if g.n = 0 then ("0", [||])
+    else begin
+      let n = g.n in
+      let p =
+        { order = Array.init n Fun.id; color = Array.make n 0; cend = Array.make n n }
+      in
+      let sc =
+        {
+          sigs = Array.make (2 * n_edges g) 0;
+          off = Array.make n 0;
+          mark = Array.make n 0;
+          stamp = 0;
+        }
+      in
+      (* every node just took color 0 *)
+      refine g sc p [ 0 ];
+      canon_search g sc p (ref canon_fuel)
+    end
+  in
+  (Digest.to_hex (Digest.string enc), order)
 
-let canonical_parts g =
-  if g.n = 0 then ("0", [||])
-  else canon_search g (Array.make g.n 0) 1 (ref canon_fuel)
+let canonical_order g = snd (canonical g)
 
-let canonical_order g = snd (canonical_parts g)
-
-let hash g = Digest.to_hex (Digest.string (fst (canonical_parts g)))
+let hash g = fst (canonical g)
 
 let pp ppf g =
   Format.fprintf ppf "dag(n=%d, m=%d, sources=%d, sinks=%d, Δin=%d, Δout=%d)"

@@ -137,25 +137,42 @@ val induced : t -> Bitset.t -> t * node array
 
 (** {1 Canonical form} *)
 
+val canonical : t -> string * int array
+(** [canonical g] is [(hash g, canonical_order g)] from one search:
+    a caller that needs both (the [prbpd] cache key and the relabeling
+    of a certificate into or out of canonical space) pays for one.
+
+    The search is Weisfeiler–Leman color refinement with an
+    individualize-and-refine search for the lexicographically smallest
+    labeling.  The partition is an ordered node array cut into cells;
+    a node's color is the position where its cell starts, and each
+    refinement round re-sorts only the cells holding a neighbor of a
+    node whose color just changed.  Those colors order the nodes exactly
+    as dense ranks re-computed for every node each round would, so every
+    comparison of the search — and so every byte of the result — is the
+    same as under that simpler, slower refinement (pinned by
+    [test/golden/canonical_v1.jsonl]).  The branch budget is 64
+    individualizations.  Each call allocates its own scratch, so domains
+    may canonicalize one value concurrently; nothing is memoized. *)
+
 val canonical_order : t -> int array
 (** A canonical relabeling of the nodes: [canonical_order g] is a
     permutation [id_of] with [id_of.(v)] the canonical id of node [v].
-    Computed by Weisfeiler–Leman color refinement with an
-    individualize-and-refine search for the lexicographically smallest
-    labeling, so it depends only on the structure of the graph — two
-    isomorphic relabelings of the same DAG get the same canonical form
-    — except on highly symmetric DAGs, where a bounded search budget
+    It depends only on the structure of the graph — two isomorphic
+    relabelings of the same DAG get the same canonical form — except on
+    highly symmetric DAGs, where the search budget of {!canonical}
     makes the remaining ties break by node id (still deterministic and
     byte-stable across runs, merely labeling-sensitive).  Names and the
-    family tag never participate. *)
+    family tag never participate.  [snd (canonical g)]. *)
 
 val hash : t -> string
-(** Content hash of the canonical form (node count + canonically
-    relabeled sorted edge list), as a 32-character hex digest.  Equal
-    for isomorphic relabelings of the same structure (up to the
-    {!canonical_order} search budget), different with overwhelming
-    probability otherwise; byte-stable across runs and processes.  The
-    key of the [prbpd] certificate cache. *)
+(** Content hash of the canonical form: the MD5, as a 32-character hex
+    digest, of the node count followed by the canonically relabeled,
+    sorted edge list (["n;u,v;u,v..."]).  Equal for isomorphic
+    relabelings of the same structure (up to the {!canonical} search
+    budget), different with overwhelming probability otherwise;
+    byte-stable across runs and processes.  The key of the [prbpd]
+    certificate cache.  [fst (canonical g)]. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary: node/edge counts and degree bounds. *)

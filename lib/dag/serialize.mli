@@ -26,7 +26,9 @@ val canonical : Dag.t -> string
     structure).  Two isomorphic relabelings of the same DAG render
     identically (up to the canonicalization search budget, see
     {!Dag.canonical_order}); [of_string] parses it back into a DAG
-    with the canonical numbering.  [Dag.hash] digests this form. *)
+    with the canonical numbering.  [Dag.hash] is not a digest of these
+    bytes: it digests a compact rendering of the same canonical edge
+    list (see {!Dag.hash}). *)
 
 val of_string : string -> (Dag.t, string) result
 (** Parse; errors carry the offending line number. *)

@@ -252,20 +252,15 @@ let inverse perm =
   Array.iteri (fun v c -> inv.(c) <- v) perm;
   inv
 
-(* every strategy of the entry through one permutation, computed only
-   when the entry carries a strategy *)
-let relabel perm_of e =
-  match witnesses e with
-  | [] -> e
-  | _ :: _ ->
-      let perm = perm_of () in
-      map_strategies (Option.map (permute_strategy perm)) e
+(* every strategy of the entry through one permutation *)
+let relabel perm = map_strategies (Option.map (permute_strategy perm))
 
-(* to canonical space: request node v |-> canonical_order.(v) *)
-let to_canonical g = relabel (fun () -> Dag.canonical_order g)
+(* to canonical space: request node v |-> order.(v), where [order] is
+   the request DAG's [Dag.canonical_order] *)
+let to_canonical order = relabel order
 
 (* back to the labels of (a possibly different relabeling of) the DAG *)
-let of_canonical g = relabel (fun () -> inverse (Dag.canonical_order g))
+let of_canonical order = relabel (inverse order)
 
 (* ------------------------------------------------------------------ *)
 (* Cache keys *)
@@ -402,8 +397,9 @@ let solve_telemetry ~(rq : Wire.request) fd =
 
 (* How a request computes its certificate on a miss, or why it is
    refused: misuse gets [Error (code, message)] before the cache is
-   touched or a byte is written.  The computation itself runs after
-   the chunked head, so what it raises ends the stream. *)
+   touched or a byte is written.  The computation takes the DAG's
+   [Dag.hash], which the request already holds, and runs after the
+   chunked head, so what it raises ends the stream. *)
 let plan state (rq : Wire.request) fd =
   (* a client's family tag is not checked against its DAG, and the
      cache key leaves it out, so no certificate may rest on it: the
@@ -416,7 +412,7 @@ let plan state (rq : Wire.request) fd =
      is the certificate that makes the outcome cacheable and
      re-verifiable), and tee the telemetry through a convergence
      recorder so the served outcome carries its curve *)
-  let exact wrap solve () =
+  let exact wrap solve dag_hash =
     let conv, sink = Solver.Convergence.recorder ?telemetry () in
     let oc = solve ~telemetry:sink in
     let strategy =
@@ -429,7 +425,7 @@ let plan state (rq : Wire.request) fd =
     Ok
       (Solve_cert
          (Wire.outcome_of ~game:rq.game ~r ~variants:rq.variants ?strategy
-            ~curve:(Solver.Convergence.curve conv) ~dag:g oc))
+            ~curve:(Solver.Convergence.curve conv) ~dag_hash ~dag:g oc))
   in
   (* an unknown lower-rule name would select no rule, and the bare
      bound it leaves would be cached *)
@@ -502,7 +498,7 @@ let plan state (rq : Wire.request) fd =
   | Wire.Bracket, ((Wire.Rbp | Wire.Prbp) as game) ->
       let bracket = if game = Wire.Rbp then Bracket.rbp else Bracket.prbp in
       Ok
-        (fun () ->
+        (fun _ ->
           Result.map
             (fun b ->
               Bracket_cert
@@ -514,28 +510,34 @@ let plan state (rq : Wire.request) fd =
         match game with Wire.Multi_rbp _ -> Frontier.Rbp_mc | _ -> Frontier.Prbp_mc
       in
       Ok
-        (fun () ->
+        (fun dag_hash ->
           let f =
             Frontier.sweep ~budget ?rules:rq.rules fgame ~p ~rs:(frontier_rs rq)
               g
           in
           Ok
             (Frontier_cert
-               (Wire.frontier_of ~with_moves:true ~dag:g f)))
+               (Wire.frontier_of ~with_moves:true ~dag_hash ~dag:g f)))
   | Wire.Frontier, _ ->
       invalid
         "frontier requires a multiprocessor game (multi-rbp:P / multi-prbp:P)"
 
-(* Look the certificate up under the final key, then the budget-class
-   key; a hit is relabeled out of canonical space and replayed before
-   it is served (one failure drops the entry), a miss is computed,
-   cached in canonical space and served through the same writer. *)
+(* One canonical search per request gives the cache key and the
+   relabeling into and out of canonical space.  Look the certificate up
+   under the final key, then the budget-class key; a hit is relabeled
+   out of canonical space and replayed before it is served (one failure
+   drops the entry), a miss is computed, cached in canonical space and
+   served through the same writer.  Each phase is a span, so the flight
+   recorder shows where a request's time went. *)
 let handle_certificate state (rq : Wire.request) fd =
   match plan state rq fd with
   | Error (code, msg) -> respond_error ?code fd 400 msg
   | Ok compute -> (
       let g = rq.dag in
-      let key = cache_key rq ~dag_hash:(Dag.hash g) in
+      let dag_hash, order =
+        Span.with_ ~name:"serve.canonicalize" (fun () -> Dag.canonical g)
+      in
+      let key = cache_key rq ~dag_hash in
       let fkey = key "final" and bkey = key (Wire.budget_class rq.budget) in
       let serve cache_status e =
         note_outcome (outcome_tag e);
@@ -543,23 +545,28 @@ let handle_certificate state (rq : Wire.request) fd =
         (* the cache always carries the strategies (they ARE the
            certificate), responses only on request *)
         let e = if rq.want_strategy then e else map_strategies (fun _ -> None) e in
-        finish ~rq ~headers:[ ("x-prbpd-cache", cache_status) ] ~status:200 fd
-          (encode e)
+        let body = Span.with_ ~name:"serve.encode" (fun () -> encode e) in
+        Span.with_ ~name:"serve.write" (fun () ->
+            finish ~rq ~headers:[ ("x-prbpd-cache", cache_status) ] ~status:200
+              fd body)
       in
       let cached =
-        match Cache.find state.cache fkey with
-        | Some e -> Some (fkey, e)
-        | None -> Option.map (fun e -> (bkey, e)) (Cache.find state.cache bkey)
+        Span.with_ ~name:"serve.lookup" (fun () ->
+            match Cache.find state.cache fkey with
+            | Some e -> Some (fkey, e)
+            | None ->
+                Option.map (fun e -> (bkey, e)) (Cache.find state.cache bkey))
       in
       let verified =
         Option.bind cached (fun (key, canon) ->
-            let e = of_canonical g canon in
-            if replays ~rq g e then Some e
-            else begin
-              (* certificate no longer checks out: drop, recompute *)
-              Cache.remove state.cache key;
-              None
-            end)
+            Span.with_ ~name:"serve.replay" (fun () ->
+                let e = of_canonical order canon in
+                if replays ~rq g e then Some e
+                else begin
+                  (* certificate no longer checks out: drop, recompute *)
+                  Cache.remove state.cache key;
+                  None
+                end))
       in
       match verified with
       | Some e ->
@@ -569,14 +576,14 @@ let handle_certificate state (rq : Wire.request) fd =
       | None -> (
           Metrics.Counter.incr state.cache_misses;
           stream_head ~rq ~cache_status:"miss" fd;
-          match compute () with
+          match Span.with_ ~name:"serve.compute" (fun () -> compute dag_hash) with
           | Ok e ->
               (* a solve without its strategy certifies nothing *)
               if List.for_all (fun (_, s, _) -> Option.is_some s) (witnesses e)
               then
                 Cache.add state.cache
                   (if final e then fkey else bkey)
-                  (to_canonical g e);
+                  (to_canonical order e);
               serve "miss" e
           | Error msg | (exception Invalid_argument msg) ->
               finish ~rq ~status:400 fd (Wire.encode_error msg)))
@@ -585,7 +592,10 @@ let handle_certificate state (rq : Wire.request) fd =
 (* Connection handling *)
 
 let handle_api state fd (http_rq : Http.request) kind =
-  match Wire.decode_request http_rq.Http.body with
+  match
+    Span.with_ ~name:"serve.decode" (fun () ->
+        Wire.decode_request http_rq.Http.body)
+  with
   | Error msg -> respond_error fd 400 msg
   | Ok rq ->
       if rq.Wire.kind <> kind then

@@ -587,8 +587,8 @@ type outcome = {
 }
 
 let outcome_of ~game ~r ?(variants = no_variants) ?strategy ?(curve = [])
-    ~dag (oc : _ Solver.outcome) =
-  let dag_hash = Dag.hash dag in
+    ?dag_hash ~dag (oc : _ Solver.outcome) =
+  let dag_hash = match dag_hash with Some h -> h | None -> Dag.hash dag in
   let n = Dag.n_nodes dag and m = Dag.n_edges dag in
   let base status lower upper stopped stats =
     { v = version; game; r; variants; dag_hash; n; m; status; lower; upper;
@@ -783,7 +783,7 @@ type frontier = {
   elapsed_s : float;
 }
 
-let frontier_of ?family ?(with_moves = false) ~dag (f : Frontier.t) =
+let frontier_of ?family ?(with_moves = false) ?dag_hash ~dag (f : Frontier.t) =
   let game =
     match f.Frontier.game with
     | Frontier.Rbp_mc -> Multi_rbp f.Frontier.p
@@ -819,7 +819,7 @@ let frontier_of ?family ?(with_moves = false) ~dag (f : Frontier.t) =
     v = version;
     family;
     game;
-    dag_hash = Dag.hash dag;
+    dag_hash = (match dag_hash with Some h -> h | None -> Dag.hash dag);
     n = Dag.n_nodes dag;
     m = Dag.n_edges dag;
     model = f.Frontier.model;

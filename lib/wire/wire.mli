@@ -159,13 +159,16 @@ val outcome_of :
   ?variants:variants ->
   ?strategy:strategy ->
   ?curve:Prbp_solver.Solver.Convergence.curve ->
+  ?dag_hash:string ->
   dag:Prbp_dag.Dag.t ->
   _ Prbp_solver.Solver.outcome ->
   outcome
 (** Project a solver outcome onto the wire (the caller extracts the
     typed strategy, if any, since move types are per game; [curve]
     likewise rides in from a {!Prbp_solver.Solver.Convergence}
-    recorder the caller owns, default [[]]). *)
+    recorder the caller owns, default [[]]).  [dag_hash] is
+    [Dag.hash dag], for a caller that already holds it: the canonical
+    search is the costly part of a small outcome. *)
 
 val encode_outcome : outcome -> string
 
@@ -255,11 +258,13 @@ type frontier = {
 val frontier_of :
   ?family:string ->
   ?with_moves:bool ->
+  ?dag_hash:string ->
   dag:Prbp_dag.Dag.t ->
   Prbp_frontier.Frontier.t ->
   frontier
 (** [with_moves] (default false) embeds each point's witness strategy
-    — the re-checkable certificates the daemon caches and serves. *)
+    — the re-checkable certificates the daemon caches and serves.
+    [dag_hash] is [Dag.hash dag], as in {!outcome_of}. *)
 
 val frontier_points_n : frontier -> int
 (** Swept capacities with a feasible point ([points_n] on the wire). *)

@@ -9,13 +9,9 @@ module Segment = Prbp.Bounds.Segment
 module Lower = Prbp.Bounds.Lower
 module Upper = Prbp.Bounds.Upper
 
-let exact game ~r g =
-  match game with
-  | Lower.Rbp -> opt_rbp_opt (Prbp.Rbp.config ~r ()) g
-  | Lower.Prbp -> opt_prbp_opt (Prbp.Prbp_game.config ~r ()) g
-
-(* [exact], but tolerating budget-truncated searches ([None]) so the
-   family cases can include instances near the exact solvers' edge. *)
+(* The exact optimum, tolerating budget-truncated searches ([None]) so
+   the family cases can include instances near the exact solvers'
+   edge. *)
 let exact_tolerant game ~r g =
   match game with
   | Lower.Rbp -> tolerant (Prbp.Exact_rbp.solve (Prbp.Rbp.config ~r ()) g)
@@ -126,21 +122,50 @@ let dag_of (seed, layers, width) =
   Prbp.Graphs.Random_dag.make ~seed ~layers ~width ~density:0.35
     ~max_in_degree:3 ()
 
+(* Every bound a Lower.compute run evaluated, and its winner, sit at
+   or below what the exact solve certifies above OPT: OPT itself, or
+   the upper bound of a solve that ran out of its budget. *)
+let rules_sound ?budget game ~r g =
+  let module S = Prbp.Solver in
+  let cap = function
+    | S.Optimal o -> Some o.S.cost
+    | S.Bounded b -> b.S.upper
+    | S.Unsolvable _ -> None
+  in
+  let cap =
+    match game with
+    | Lower.Rbp -> cap (Prbp.Exact_rbp.solve ?budget (Prbp.Rbp.config ~r ()) g)
+    | Lower.Prbp ->
+        cap (Prbp.Exact_prbp.solve ?budget (Prbp.Prbp_game.config ~r ()) g)
+  in
+  match cap with
+  | None -> true
+  | Some cap ->
+      let l = Lower.compute ~game ~r g in
+      List.for_all (fun (_, bound) -> bound <= cap) l.Lower.evaluated
+      && l.Lower.bound <= cap
+
 (* satellite (c), first half: on random small DAGs, every registered
    rule's every evaluated bound is at or below exact OPT, both games *)
 let prop_rules_sound game label =
   qcase ~count:30
     (label ^ ": every registered rule stays below the exact optimum")
     gen_dag
-    (fun params ->
-      let g = dag_of params in
-      let r = 3 in
-      match exact game ~r g with
-      | None -> true
-      | Some opt ->
-          let l = Lower.compute ~game ~r g in
-          List.for_all (fun (_, bound) -> bound <= opt) l.Lower.evaluated
-          && l.Lower.bound <= opt)
+    (fun params -> rules_sound game ~r:3 (dag_of params))
+
+(* A DAG of the property's generator on which the exact PRBP solve at
+   r = 3 runs out of its default budget (at [9, 15]); here a small
+   budget truncates it sooner, and its certified upper bound still
+   caps every rule. *)
+let test_truncated_exact_caps_rules () =
+  let g = dag_of (1500, 3, 3) in
+  let budget = Prbp.Solver.Budget.v ~max_states:20_000 () in
+  check_true "the exact solve is truncated with an upper bound"
+    (match Prbp.Exact_prbp.solve ~budget (Prbp.Prbp_game.config ~r:3 ()) g with
+    | Prbp.Solver.Bounded { upper = Some _; _ } -> true
+    | _ -> false);
+  check_true "every rule stays below that upper bound"
+    (rules_sound ~budget Lower.Prbp ~r:3 g)
 
 (* satellite (c), second half: a constructive partition fed back as the
    early-certification witness must reproduce the exhaustive minimum
@@ -216,6 +241,8 @@ let suite =
         case "tree closed form gated to r=k+1" test_tree_form_gated;
         prop_rules_sound Lower.Rbp "RBP";
         prop_rules_sound Lower.Prbp "PRBP";
+        case "a truncated exact solve caps every rule"
+          test_truncated_exact_caps_rules;
         prop_constructive_agrees;
         prop_banded_order_topological;
         case "isolated nodes: every bound below the exact optimum"

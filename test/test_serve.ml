@@ -1186,6 +1186,47 @@ let test_serve_family_tag_ignored () =
       ("relabeled, untagged", relabeled, "hit");
     ]
 
+(* Each phase of a certificate request is a span, so the flight
+   recorder shows where its time went: a bracket's hit shows every
+   phase once and computes nothing, its miss computes and replays
+   nothing. *)
+let test_serve_phase_spans () =
+  with_server @@ fun port ->
+  let module Flight = Prbp.Obs.Flight in
+  let module Span = Prbp.Obs.Span in
+  Flight.reset ();
+  let body =
+    Wire.encode_request
+      (Wire.request ~want_strategy:true ~kind:Wire.Bracket ~game:Wire.Rbp ~r:3
+         (Dag.make ~n:4 diamond_edges))
+  in
+  List.iter
+    (fun want ->
+      let reply = post ~port "/v1/bracket" body in
+      check_int (want ^ ": 200") 200 reply.status;
+      Alcotest.(check string) "cache" want (cache_status reply))
+    [ "miss"; "hit" ];
+  let phases cache =
+    match
+      List.find_opt
+        (fun (e : Flight.entry) -> e.summary.Flight.cache = cache)
+        (Flight.slowest ())
+    with
+    | Some e -> List.map (fun s -> s.Span.name) e.spans
+    | None -> Alcotest.failf "no %s in the flight recorder" cache
+  in
+  let count name names = List.length (List.filter (( = ) name) names) in
+  let hit = phases "hit" and miss = phases "miss" in
+  List.iter
+    (fun name -> check_int ("hit: one " ^ name) 1 (count name hit))
+    [
+      "serve.decode"; "serve.canonicalize"; "serve.lookup"; "serve.replay";
+      "serve.encode"; "serve.write";
+    ];
+  check_int "hit: no serve.compute" 0 (count "serve.compute" hit);
+  check_int "miss: one serve.compute" 1 (count "serve.compute" miss);
+  check_int "miss: no serve.replay" 0 (count "serve.replay" miss)
+
 let suite =
   [
     ( "serve",
@@ -1220,5 +1261,6 @@ let suite =
           test_serve_unknown_rule;
         slow_case "serve: a client's family tag sets no bound"
           test_serve_family_tag_ignored;
+        slow_case "serve: each request phase is a span" test_serve_phase_spans;
       ] );
   ]

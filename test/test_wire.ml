@@ -914,6 +914,10 @@ let hash_structure_sensitive =
           let g' = Dag.make ~n:(Dag.n_nodes g) rest in
           Dag.hash g <> Dag.hash g')
 
+let order_md5 order =
+  Array.to_list order |> List.map string_of_int |> String.concat ","
+  |> Digest.string |> Digest.to_hex
+
 let test_hash_stable () =
   (* byte-stability across runs and processes: pinned digests (the
      cache key must outlive the process that wrote the entry).  fig1's
@@ -946,20 +950,86 @@ let test_hash_stable () =
          ~width:3 ());
     ];
   (* the labeling itself, not only the digest of the edges it yields *)
-  let order_md5 g =
-    Dag.canonical_order g |> Array.to_list
-    |> List.map string_of_int |> String.concat "," |> Digest.string
-    |> Digest.to_hex
-  in
   Alcotest.(check string)
     "fft:16 canonical order" "8c91be1eb0e3768b2e27daa8d76a530f"
-    (order_md5 (fft 16));
+    (order_md5 (Dag.canonical_order (fft 16)));
   Alcotest.(check string)
     "matmul:3:3:3 canonical order" "5b072baae83229abbf49a3f9f6434530"
-    (order_md5 matmul333);
+    (order_md5 (Dag.canonical_order matmul333));
   let g = Prbp.Graphs.Basic.diamond () in
   Alcotest.(check string) "repeatable" (Dag.hash g) (Dag.hash g);
   check_int "digest width" 32 (String.length (Dag.hash g))
+
+(* A DAG spec of golden/canonical_v1.jsonl: a generator with its
+   parameters, or one of two edge-poor graphs. *)
+let dag_of_spec spec =
+  let int = int_of_string in
+  let module G = Prbp.Graphs in
+  match String.split_on_char ':' spec with
+  | [ "diamond" ] -> G.Basic.diamond ()
+  | [ "fig1" ] -> fst (G.Fig1.full ())
+  | [ "path"; n ] -> G.Basic.path (int n)
+  | [ "tree"; k; d ] -> (G.Tree.make ~k:(int k) ~depth:(int d)).G.Tree.dag
+  | [ "pyramid"; h ] -> G.Basic.pyramid (int h)
+  | [ "grid"; r; c ] -> G.Basic.grid (int r) (int c)
+  | [ "fan_in"; k ] -> G.Basic.fan_in (int k)
+  | [ "complete_bipartite"; a; b ] -> G.Basic.complete_bipartite (int a) (int b)
+  | [ "fft"; m ] -> (G.Fft.make ~m:(int m)).G.Fft.dag
+  | [ "matmul"; a; b; c ] ->
+      (G.Matmul.make ~m1:(int a) ~m2:(int b) ~m3:(int c)).G.Matmul.dag
+  | [ "attention-qkt"; m; d ] -> (G.Attention.qkt ~m:(int m) ~d:(int d)).G.Matmul.dag
+  | [ "edgeless"; n ] -> Dag.make ~n:(int n) []
+  | [ "one-edge"; n ] -> Dag.make ~n:(int n) [ (0, 1) ]
+  | [ "random"; seed; layers; width; density; din ] ->
+      G.Random_dag.make ~seed:(int seed) ~layers:(int layers) ~width:(int width)
+        ~density:(float_of_string density)
+        ?max_in_degree:(if din = "-" then None else Some (int din))
+        ()
+  | _ -> Alcotest.failf "canonical_v1.jsonl: unknown DAG spec %S" spec
+
+(* Every line of golden/canonical_v1.jsonl regenerates its DAG (under
+   its relabeling, if it names one) and must reproduce the node count,
+   the digest and the MD5 of the canonical order it was written with.
+   The lines span the served and benchmarked DAGs, families that
+   exhaust the search budget (fft:16 and up, matmul:3:3:3,
+   attention-qkt:16:8) and about 250 random draws of six shapes. *)
+let test_canonical_golden () =
+  let json_fail what = Alcotest.failf "canonical_v1.jsonl: bad %s" what in
+  let member k j = match Json.member k j with Some v -> v | None -> json_fail k in
+  let str k j = match Json.to_str (member k j) with Some s -> s | None -> json_fail k in
+  let lines = golden_lines "canonical_v1.jsonl" in
+  check_true "about 500 lines" (List.length lines > 500);
+  List.iter
+    (fun line ->
+      let j = match Json.of_string line with Ok j -> j | Error e -> json_fail e in
+      let spec = str "spec" j in
+      let g = dag_of_spec spec in
+      let g =
+        match Json.to_int (member "relabel" j) with
+        | Some seed -> permuted g seed
+        | None -> g
+      in
+      check_int (line ^ " n")
+        (Option.get (Json.to_int (member "n" j)))
+        (Dag.n_nodes g);
+      Alcotest.(check string) (line ^ " digest") (str "hash" j) (Dag.hash g);
+      Alcotest.(check string)
+        (line ^ " order") (str "order_md5" j)
+        (order_md5 (Dag.canonical_order g)))
+    lines
+
+(* prbpd's worker domains hash the DAGs they share: two domains
+   hashing one value both get its pinned digest. *)
+let test_hash_concurrent () =
+  let g = (Prbp.Graphs.Fft.make ~m:32).Prbp.Graphs.Fft.dag in
+  let hash_often () = List.init 8 (fun _ -> Dag.hash g) in
+  let d1 = Domain.spawn hash_often and d2 = Domain.spawn hash_often in
+  List.iter
+    (fun d ->
+      List.iter
+        (Alcotest.(check string) "fft:32 digest" "8da763c57f977c477e4bf14d655c3018")
+        (Domain.join d))
+    [ d1; d2 ]
 
 let test_hash_ignores_names () =
   let edges = [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
@@ -1025,5 +1095,7 @@ let suite =
         case "hash is byte-stable" test_hash_stable;
         case "hash ignores names" test_hash_ignores_names;
         case "jsonl flushes each event" test_jsonl_flushes_each_event;
+        case "canonical forms match the golden" test_canonical_golden;
+        case "two domains hash one DAG" test_hash_concurrent;
       ] );
   ]
