@@ -61,6 +61,9 @@ type state = {
   route_latency : (string * Metrics.Histogram.t) list;
       (* per-route latency under one family name; the route set is
          fixed so the label cardinality is bounded *)
+  gc_minor : Metrics.Counter.t;
+  gc_major : Metrics.Counter.t;
+  gc_sync : Mutex.t;
 }
 
 let routes = [ "/v1/solve"; "/v1/bracket"; "/v1/frontier"; "/v1/status";
@@ -121,7 +124,26 @@ let make_state cfg =
               ~labels:[ ("route", route) ]
               "prbpd_route_request_seconds" ))
         routes;
+    gc_minor =
+      Metrics.counter ~help:"Minor collections of the process (all domains)"
+        "prbpd_gc_minor_collections_total";
+    gc_major =
+      Metrics.counter
+        ~help:"Major collection cycles of the process (all domains)"
+        "prbpd_gc_major_collections_total";
+    gc_sync = Mutex.create ();
   }
+
+(* The GC counts come from [Gc.quick_stat] at scrape time.  In OCaml 5
+   they are process-wide: every domain takes part in each collection.
+   The lock keeps two concurrent scrapes from both adding the same
+   increment. *)
+let sync_gc_counters state =
+  Mutex.protect state.gc_sync (fun () ->
+      let st = Gc.quick_stat () in
+      let catch_up c n = Metrics.Counter.add c (n - Metrics.Counter.value c) in
+      catch_up state.gc_minor st.Gc.minor_collections;
+      catch_up state.gc_major st.Gc.major_collections)
 
 (* ------------------------------------------------------------------ *)
 (* Per-request bookkeeping: the response writers note what they served
@@ -662,6 +684,7 @@ let handle_connection state fd =
                 | "POST", "/v1/frontier" ->
                     handle_api state fd http_rq Wire.Frontier
                 | "GET", "/metrics" ->
+                    sync_gc_counters state;
                     note_status 200;
                     Http.write_response
                       ~headers:
@@ -773,4 +796,6 @@ let run ?(stop = Atomic.make false) cfg =
   (match cfg.addr with
   | Unix_path path -> ( try Unix.unlink path with _ -> ())
   | Tcp _ -> ());
-  Pool.shutdown state.pool
+  Pool.shutdown state.pool;
+  (* the shutdown snapshot ([--metrics-out]) is a scrape too *)
+  sync_gc_counters state

@@ -63,7 +63,12 @@
     [prbpd_cache_misses_total], the [prbpd_request_seconds] histogram
     and the per-route [prbpd_route_request_seconds] family (label
     [route], fixed route set), exported alongside every other
-    registered {!Prbp_obs.Metrics} instrument. *)
+    registered {!Prbp_obs.Metrics} instrument.
+    [prbpd_gc_minor_collections_total] and
+    [prbpd_gc_major_collections_total] are read from [Gc.quick_stat]
+    at each scrape of [GET /metrics] and once more at shutdown; in
+    OCaml 5 both count the collections of the whole process, all
+    domains together. *)
 
 type addr =
   | Tcp of string * int  (** interface, port *)

@@ -28,10 +28,3 @@ let lowest_set_index x =
   let m = if b land 0x3 = 0 then 2 else 0 in
   let b = b lsr m in
   i + j + k + l + m + (1 - (b land 1))
-
-let iter_bits f mask =
-  let m = ref mask in
-  while !m <> 0 do
-    f (lowest_set_index !m);
-    m := !m land (!m - 1)
-  done

@@ -5,8 +5,7 @@ val popcount : int -> int
 (** Number of set bits, SWAR (no loop, no table). *)
 
 val lowest_set_index : int -> int
-(** Index of the least significant set bit.  Undefined on [0]. *)
-
-val iter_bits : (int -> unit) -> int -> unit
-(** [iter_bits f mask] calls [f i] for every set bit index [i] of
-    [mask], in increasing order. *)
+(** Index of the least significant set bit.  Undefined on [0].  The
+    games walk a mask's bits in increasing order with it, clearing the
+    lowest bit each step ([m land (m - 1)]), written out inline: a
+    higher-order iterator would allocate a closure per call. *)

@@ -11,6 +11,22 @@ module Dag = Prbp_dag.Dag
 
 type move = Place of int | Slide of int * int | Remove of int
 
+(* Move codes: the low 2 bits are the kind (0 place, 1 remove,
+   2 slide), bits 2-7 the node, and for a slide bits 8-13 the node
+   whose pebble moves. *)
+let k_place = 0
+and k_remove = 1
+and k_slide = 2
+
+let[@inline] code k v = k lor (v lsl 2)
+
+(* Store a successor and hand it to the engine; top-level, so
+   [expand] builds no closure.  Every black move is free. *)
+let[@inline] put scratch emit m v code =
+  Array.unsafe_set scratch 0 m;
+  Array.unsafe_set scratch 1 v;
+  emit code 0
+
 module G = struct
   type inst = {
     n : int;
@@ -23,8 +39,6 @@ module G = struct
   type nonrec move = move
 
   let name = "black"
-
-  let dummy_move = Place 0
 
   let width _ = 2
 
@@ -40,30 +54,38 @@ module G = struct
 
   let expand inst cur ~scratch ~emit =
     let mask = cur.(0) and visited = cur.(1) in
-    let put m v (mv : move) =
-      scratch.(0) <- m;
-      scratch.(1) <- v;
-      emit mv 0
-    in
     for v = 0 to inst.n - 1 do
       let b = 1 lsl v in
       if mask land b = 0 && inst.pred_mask.(v) land lnot mask = 0 then begin
         (* PLACE (needs a free pebble) *)
         if Bits.popcount mask < inst.s then
-          put (mask lor b) (visited lor (b land inst.sinks)) (Place v);
+          put scratch emit (mask lor b)
+            (visited lor (b land inst.sinks))
+            (code k_place v);
         (* SLIDE from one of the (pebbled) in-neighbors *)
-        if inst.sliding && inst.pred_mask.(v) <> 0 then
-          Bits.iter_bits
-            (fun u ->
-              put
-                (mask lxor (1 lsl u) lor b)
-                (visited lor (b land inst.sinks))
-                (Slide (u, v)))
-            inst.pred_mask.(v)
+        if inst.sliding then begin
+          let preds = ref inst.pred_mask.(v) in
+          while !preds <> 0 do
+            let u = Bits.lowest_set_index !preds in
+            preds := !preds land (!preds - 1);
+            put scratch emit
+              (mask lxor (1 lsl u) lor b)
+              (visited lor (b land inst.sinks))
+              (code k_slide v lor (u lsl 8))
+          done
+        end
       end;
       (* REMOVE *)
-      if mask land b <> 0 then put (mask lxor b) visited (Remove v)
+      if mask land b <> 0 then
+        put scratch emit (mask lxor b) visited (code k_remove v)
     done
+
+  let decode _ c =
+    let v = (c lsr 2) land 63 in
+    match c land 3 with
+    | 0 -> Place v
+    | 1 -> Remove v
+    | _ -> Slide (c lsr 8, v)
 end
 
 module E = Engine.Make (G)

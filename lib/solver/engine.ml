@@ -47,6 +47,52 @@ let m_solve_seconds =
   Metrics.histogram ~help:"wall-clock seconds per engine solve"
     "prbp_engine_solve_seconds"
 
+(* The search memory of a sequential solve — its state table, 0-1
+   deque and parent arrays — outlives the solve: each domain keeps the
+   last one in a slot and the next solve on that domain recycles it, so
+   a domain that has solved an instance of some size solves the next
+   one no larger without touching the major heap.  That matters beyond
+   the solve itself: in OCaml 5 every minor collection and every
+   major-cycle phase stops all domains, so one domain's allocation
+   churn stalls the others (prbpd's workers and its accept loop).
+
+   The slot holds the workspace weakly, so a major cycle can still
+   reclaim a large one between solves.  A solve takes the workspace out
+   of the slot and hands it back when it returns: a nested solve (one
+   started from a telemetry sink) finds the slot empty and allocates
+   its own, and a solve that raises simply drops it.  Everything in it
+   is an [int] array, so every game instance of the functor below
+   shares it, whatever its key width. *)
+module Workspace = struct
+  type t = {
+    tbl : T.t;
+    dq : Deque01.t;
+    mutable parent_idx : int array;
+    mutable parent_move : int array;  (* the games' int move codes *)
+  }
+
+  let slot : t Weak.t Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> Weak.create 1)
+
+  let take ~width =
+    let cell = Domain.DLS.get slot in
+    match Weak.get cell 0 with
+    | Some ws ->
+        Weak.set cell 0 None;
+        T.recycle ws.tbl ~width;
+        Deque01.recycle ws.dq;
+        ws
+    | None ->
+        {
+          tbl = T.create ~width ();
+          dq = Deque01.create ();
+          parent_idx = [||];
+          parent_move = [||];
+        }
+
+  let give ws = Weak.set (Domain.DLS.get slot) 0 (Some ws)
+end
+
 module Make (G : Game.S) = struct
   type ctx = {
     inst : G.inst;
@@ -77,33 +123,37 @@ module Make (G : Game.S) = struct
        the solve — a sampled high-water mark, not an exact maximum *)
     mutable peak_frontier : int;
     tbl : T.t;
+    (* the workspace's parent arrays, at least [pcap] long; [pcap] is
+       the length a fresh solve would have grown them to *)
     mutable parent_idx : int array;
-    mutable parent_move : G.move array;
-    dq : int Deque01.t;
+    mutable parent_move : int array;
+    mutable pcap : int;
+    dq : Deque01.t;
     (* set by the pop loop before calling [G.expand]; read by the
        [emit] relaxation closure *)
     mutable cur_idx : int;
     mutable cur_d : int;
   }
 
-  (* Estimated live heap words of the search structures.  Strategy
-     bookkeeping contributes exactly its arrays — zero unless
-     [want_strategy], which the end-of-solve assertion pins down. *)
-  let mem_words ctx =
-    T.words ctx.tbl + Deque01.words ctx.dq
-    + Array.length ctx.parent_idx
-    (* parent_move is an array of pointers to small move blocks;
-       count the pointer plus ~3 words per block *)
-    + (4 * Array.length ctx.parent_move)
+  (* Estimated live heap words of the search structures, counted at
+     the logical sizes a fresh solve would reach, so that budget
+     verdicts and the reported figure do not depend on what the
+     recycled workspace held before.  Strategy bookkeeping contributes
+     exactly its two int arrays — zero unless [want_strategy], which
+     the end-of-solve assertion pins down. *)
+  let mem_words ctx = T.words ctx.tbl + Deque01.words ctx.dq + (2 * ctx.pcap)
 
   let record_parent ctx idx =
-    if idx >= Array.length ctx.parent_idx then begin
-      let cap = max 16 (2 * Array.length ctx.parent_idx) in
-      let pi = Array.make cap 0 and pm = Array.make cap G.dummy_move in
-      Array.blit ctx.parent_idx 0 pi 0 (Array.length ctx.parent_idx);
-      Array.blit ctx.parent_move 0 pm 0 (Array.length ctx.parent_move);
-      ctx.parent_idx <- pi;
-      ctx.parent_move <- pm
+    if idx >= ctx.pcap then begin
+      let cap = max 16 (2 * ctx.pcap) in
+      ctx.pcap <- cap;
+      if Array.length ctx.parent_idx < cap then begin
+        let pi = Array.make cap 0 and pm = Array.make cap 0 in
+        Array.blit ctx.parent_idx 0 pi 0 idx;
+        Array.blit ctx.parent_move 0 pm 0 idx;
+        ctx.parent_idx <- pi;
+        ctx.parent_move <- pm
+      end
     end
 
   (* Relax the successor state sitting in [scratch]: the 0-1 BFS step,
@@ -341,6 +391,7 @@ module Make (G : Game.S) = struct
   let solve_raw ~budget ~telemetry ~want_strategy ~incumbent inst =
     let w = G.width inst in
     let t0 = Clock.now () in
+    let ws = Workspace.take ~width:w in
     let ctx =
       {
         inst;
@@ -364,10 +415,11 @@ module Make (G : Game.S) = struct
         next_emit =
           (match telemetry with Some s -> s.every | None -> max_int);
         next_gate = 0;
-        tbl = T.create ~width:w ();
-        parent_idx = [||];
-        parent_move = [||];
-        dq = Deque01.create ();
+        tbl = ws.Workspace.tbl;
+        parent_idx = ws.Workspace.parent_idx;
+        parent_move = ws.Workspace.parent_move;
+        pcap = 0;
+        dq = ws.Workspace.dq;
         cur_idx = 0;
         cur_d = 0;
       }
@@ -384,18 +436,15 @@ module Make (G : Game.S) = struct
     (* init state gets dense index 0 *)
     G.write_init inst cur;
     ignore (T.add ctx.tbl cur 0);
-    if want_strategy then begin
-      ctx.parent_idx <- Array.make 16 0;
-      ctx.parent_move <- Array.make 16 G.dummy_move
-    end;
+    if want_strategy then record_parent ctx 0;
     Deque01.push_back ctx.dq 0;
     let emit m cost01 = relax ctx scratch m cost01 in
     let result = ref None in
     let continue = ref true in
     while !continue && ctx.stop = None do
       match Deque01.pop_front ctx.dq with
-      | None -> continue := false
-      | Some idx ->
+      | -1 -> continue := false
+      | idx ->
           let d = T.value ctx.tbl idx in
           if d >= 0 then begin
             T.set_value ctx.tbl idx (lnot d);
@@ -420,11 +469,9 @@ module Make (G : Game.S) = struct
           end
     done;
     (* strategy bookkeeping is strictly opt-in: nothing on any path
-       may allocate the parent arrays without [want_strategy], and the
+       may grow the parent arrays without [want_strategy], and the
        memory estimate above counts exactly these arrays *)
-    assert (
-      want_strategy
-      || (Array.length ctx.parent_idx = 0 && Array.length ctx.parent_move = 0));
+    assert (want_strategy || ctx.pcap = 0);
     let ending =
       match (!result, ctx.stop) with
       | Some (goal, d), _ ->
@@ -434,7 +481,7 @@ module Make (G : Game.S) = struct
               let acc = ref [] in
               let idx = ref goal in
               while !idx <> 0 do
-                acc := ctx.parent_move.(!idx) :: !acc;
+                acc := G.decode inst ctx.parent_move.(!idx) :: !acc;
                 idx := ctx.parent_idx.(!idx)
               done;
               Some !acc
@@ -445,11 +492,19 @@ module Make (G : Game.S) = struct
       | None, Some stopped -> Stopped (stopped, frontier_lower_bound ctx cur)
     in
     let stats = stats ctx in
-    finish ~telemetry ~want_strategy ~incumbent ~t0
-      ~progress:(fun () -> progress ctx)
-      ~stats ~resizes:(T.resizes ctx.tbl)
-      ~peak_frontier:(max ctx.peak_frontier stats.Solver.frontier)
-      ending
+    let outcome =
+      finish ~telemetry ~want_strategy ~incumbent ~t0
+        ~progress:(fun () -> progress ctx)
+        ~stats ~resizes:(T.resizes ctx.tbl)
+        ~peak_frontier:(max ctx.peak_frontier stats.Solver.frontier)
+        ending
+    in
+    (* after the Stop event: a solve nested in the sink still finds the
+       slot empty *)
+    ws.Workspace.parent_idx <- ctx.parent_idx;
+    ws.Workspace.parent_move <- ctx.parent_move;
+    Workspace.give ws;
+    outcome
 
   (* ================== parallel path =================== *)
   (* Level-synchronized 0-1 BFS over a hash-sharded state table.
@@ -505,8 +560,8 @@ module Make (G : Game.S) = struct
     cursor : int Atomic.t;  (* next unclaimed [pend] slot; stealable *)
     out0 : Par.Ibuf.t array;
     out1 : Par.Ibuf.t array;
-    mv0 : G.move Par.Vbuf.t array;
-    mv1 : G.move Par.Vbuf.t array;
+    mv0 : Par.Ibuf.t array;  (* move codes beside the [out*] records *)
+    mv1 : Par.Ibuf.t array;
     cur : int array;
     scratch : int array;
     mutable level : int;
@@ -546,7 +601,7 @@ module Make (G : Game.S) = struct
     goal_gid : int Atomic.t;  (* min gid of a settled goal; max_int *)
     (* per-shard strategy bookkeeping, owner-written at integration *)
     parents : Par.Ibuf.t array;
-    pmoves : G.move Par.Vbuf.t array;
+    pmoves : Par.Ibuf.t array;
     (* published slots: own slot written between the work and publish
        barriers, everyone's slots read only after the publish barrier *)
     pub_exp : int array;
@@ -597,8 +652,8 @@ module Make (G : Game.S) = struct
       cursor = Atomic.make 0;
       out0 = Array.init jobs (fun _ -> Par.Ibuf.create ());
       out1 = Array.init jobs (fun _ -> Par.Ibuf.create ());
-      mv0 = Array.init jobs (fun _ -> Par.Vbuf.create G.dummy_move);
-      mv1 = Array.init jobs (fun _ -> Par.Vbuf.create G.dummy_move);
+      mv0 = Array.init jobs (fun _ -> Par.Ibuf.create ());
+      mv1 = Array.init jobs (fun _ -> Par.Ibuf.create ());
       cur = Array.make width 0;
       scratch = Array.make width 0;
       level = 0;
@@ -649,7 +704,7 @@ module Make (G : Game.S) = struct
     done;
     if sh.p_want_strategy then begin
       Par.Ibuf.push lane pd.cur_gid;
-      Par.Vbuf.push mv m
+      Par.Ibuf.push mv m
     end
 
   (* Drain one pend bucket — [victim]'s, which may be [pd] itself or a
@@ -711,7 +766,7 @@ module Make (G : Game.S) = struct
         T.set_value f j cost;
         if sh.p_want_strategy then begin
           Par.Ibuf.set sh.parents.(s) j pgid;
-          Par.Vbuf.set sh.pmoves.(s) j m
+          Par.Ibuf.set sh.pmoves.(s) j m
         end;
         Par.Ibuf.push pd.inbox (Sh.handle sh.tbl ~shard:s j)
       end
@@ -723,7 +778,7 @@ module Make (G : Game.S) = struct
       pd.inserted <- pd.inserted + 1;
       if sh.p_want_strategy then begin
         Par.Ibuf.push sh.parents.(s) pgid;
-        Par.Vbuf.push sh.pmoves.(s) m
+        Par.Ibuf.push sh.pmoves.(s) m
       end;
       let gid = Sh.handle sh.tbl ~shard:s j in
       if cls = 0 then Par.Ibuf.push pd.inbox gid
@@ -755,7 +810,7 @@ module Make (G : Game.S) = struct
             if sh.p_want_strategy then Par.Ibuf.get lane (base + w) else -1
           in
           let m =
-            if sh.p_want_strategy then Par.Vbuf.get mv r else G.dummy_move
+            if sh.p_want_strategy then Par.Ibuf.get mv r else 0
           in
           insert sh pd ~cost ~cls pgid m
         done
@@ -876,8 +931,8 @@ module Make (G : Game.S) = struct
     for k = 0 to sh.p_jobs - 1 do
       Par.Ibuf.clear pd.out0.(k);
       Par.Ibuf.clear pd.out1.(k);
-      Par.Vbuf.clear pd.mv0.(k);
-      Par.Vbuf.clear pd.mv1.(k)
+      Par.Ibuf.clear pd.mv0.(k);
+      Par.Ibuf.clear pd.mv1.(k)
     done
 
   (* Each domain applies a non-terminal verdict to its own structures;
@@ -1048,7 +1103,7 @@ module Make (G : Game.S) = struct
         stop_r = Atomic.make (-1);
         goal_gid = Atomic.make max_int;
         parents = Array.init nshards (fun _ -> Par.Ibuf.create ());
-        pmoves = Array.init nshards (fun _ -> Par.Vbuf.create G.dummy_move);
+        pmoves = Array.init nshards (fun _ -> Par.Ibuf.create ());
         pub_exp = Array.make jobs 0;
         pub_pruned = Array.make jobs 0;
         pub_ins = Array.make jobs 0;
@@ -1082,7 +1137,7 @@ module Make (G : Game.S) = struct
     let j0 = T.add (Sh.shard tbl s0) buf 0 in
     if want_strategy then begin
       Par.Ibuf.push sh.parents.(s0) (-1);
-      Par.Vbuf.push sh.pmoves.(s0) G.dummy_move
+      Par.Ibuf.push sh.pmoves.(s0) 0
     end;
     Par.Ibuf.push doms.(s0 mod jobs).pend (Sh.handle tbl ~shard:s0 j0);
     let workers =
@@ -1144,7 +1199,7 @@ module Make (G : Game.S) = struct
                 let pg = Par.Ibuf.get sh.parents.(s) j in
                 if pg < 0 then continue := false
                 else begin
-                  acc := Par.Vbuf.get sh.pmoves.(s) j :: !acc;
+                  acc := G.decode inst (Par.Ibuf.get sh.pmoves.(s) j) :: !acc;
                   g := pg
                 end
               done;

@@ -20,7 +20,14 @@
     {!Solver.Telemetry} sink, and always returns a {!Solver.outcome} —
     a proven optimum, a certified [lower ≤ OPT ≤ upper] interval when
     the budget stops the search first, or a proof that no goal state is
-    reachable.  Nothing raises when the budget runs out. *)
+    reachable.  Nothing raises when the budget runs out.
+
+    A sequential solve allocates nothing per expansion: moves travel
+    as the games' int codes, and the state table, deque and parent
+    arrays come from a workspace its domain recycles across solves
+    (held weakly between them), so a repeated solve of an instance
+    also leaves the major heap alone.  Every count and size a solve
+    reports — [mem_words] included — is that of fresh memory. *)
 
 module Make (G : Game.S) : sig
   val solve :
@@ -41,7 +48,7 @@ module Make (G : Game.S) : sig
       reconstructs one optimal move sequence through the parent arrays,
       and attaches the incumbent's moves to a {!Solver.Bounded} outcome
       — strategy bookkeeping is strictly opt-in and is the only
-      consumer of the parent arrays, which stay unallocated otherwise.
+      consumer of the parent arrays, which are never grown otherwise.
       [prune] (default on) computes [G.incumbent] once, before the
       search, and arms branch-and-bound with its cost; without [prune]
       there is no incumbent and no upper bound.  [telemetry] receives

@@ -33,6 +33,18 @@ let sort2 (a : int array) lo len =
 let check_cfg ~what (cfg : Multi.config) =
   if cfg.Multi.p > 8 then invalid_arg (what ^ ": at most 8 processors")
 
+(* Move codes of both games: the low 2 bits are the kind, bits 2-7 the
+   node (for a PRBP-MC compute, the id of the edge it marks), bits 8
+   and up the processor. *)
+let[@inline] code k q x = k lor (x lsl 2) lor (q lsl 8)
+
+(* The successor starts as a copy of the current state: a scalar loop,
+   not one [Array.blit] C call per successor. *)
+let[@inline] copy_state cur scratch w =
+  for i = 0 to w - 1 do
+    Array.unsafe_set scratch i (Array.unsafe_get cur i)
+  done
+
 (* {1 RBP-MC} *)
 
 module GR = struct
@@ -52,7 +64,10 @@ module GR = struct
 
   let name = "multi-rbp"
 
-  let dummy_move : move = Multi.Move.Load (0, 0)
+  let k_load = 0
+  and k_save = 1
+  and k_compute = 2
+  and k_delete = 3
 
   let width inst = inst.cfg.Multi.p + 2
 
@@ -76,14 +91,13 @@ module GR = struct
     for q = 0 to p - 1 do
       all_red := !all_red lor buf.(q)
     done;
+    let all_red = !all_red in
     let lb = ref (Bits.popcount (inst.sinks land lnot blue)) in
-    Array.iter
-      (fun s ->
-        if
-          !all_red land (1 lsl s) = 0
-          && inst.succ_mask.(s) land lnot comp <> 0
-        then incr lb)
-      inst.srcs;
+    for i = 0 to Array.length inst.srcs - 1 do
+      let s = Array.unsafe_get inst.srcs i in
+      if all_red land (1 lsl s) = 0 && inst.succ_mask.(s) land lnot comp <> 0
+      then incr lb
+    done;
     !lb
 
   (* Any single-processor strategy is a p-processor strategy played
@@ -98,14 +112,16 @@ module GR = struct
     inst.succ_mask.(v) land lnot comp = 0
     && (inst.sinks land (1 lsl v) = 0 || blue land (1 lsl v) <> 0)
 
+  (* hand the successor in [scratch] to the engine, processor masks
+     sorted first when canonicalizing *)
+  let[@inline] fin inst scratch emit code cost01 =
+    if inst.canon then sort2 scratch 0 inst.cfg.Multi.p;
+    emit code cost01
+
   let expand inst cur ~scratch ~emit =
     let p = inst.cfg.Multi.p and r = inst.cfg.Multi.r in
     let w = p + 2 in
     let blue = cur.(p) and comp = cur.(p + 1) in
-    let fin (m : move) cost01 =
-      if inst.canon then sort2 scratch 0 p;
-      emit m cost01
-    in
     for q = 0 to p - 1 do
       let red = cur.(q) in
       let n_red = Bits.popcount red in
@@ -118,16 +134,16 @@ module GR = struct
           && n_red < r
           && not (obsolete inst blue comp v)
         then begin
-          Array.blit cur 0 scratch 0 w;
+          copy_state cur scratch w;
           scratch.(q) <- red lor b;
-          fin (Multi.Move.Load (q, v)) 1
+          fin inst scratch emit (code k_load q v) 1
         end;
         (* SAVE from processor q *)
         if red land b <> 0 && blue land b = 0 && not (obsolete inst blue comp v)
         then begin
-          Array.blit cur 0 scratch 0 w;
+          copy_state cur scratch w;
           scratch.(p) <- blue lor b;
-          fin (Multi.Move.Save (q, v)) 1
+          fin inst scratch emit (code k_save q v) 1
         end;
         (* COMPUTE on processor q: all inputs red locally *)
         if
@@ -137,10 +153,10 @@ module GR = struct
           && red land inst.pred_mask.(v) = inst.pred_mask.(v)
           && n_red < r
         then begin
-          Array.blit cur 0 scratch 0 w;
+          copy_state cur scratch w;
           scratch.(q) <- red lor b;
           scratch.(p + 1) <- comp lor b;
-          fin (Multi.Move.Compute (q, v)) 0
+          fin inst scratch emit (code k_compute q v) 0
         end;
         (* DELETE from processor q: recoverable copies only once the
            local cache is full; obsolete copies cleaned up for free
@@ -150,12 +166,20 @@ module GR = struct
           && (obsolete inst blue comp v
              || (n_red = r && blue land b <> 0))
         then begin
-          Array.blit cur 0 scratch 0 w;
+          copy_state cur scratch w;
           scratch.(q) <- red lxor b;
-          fin (Multi.Move.Delete (q, v)) 0
+          fin inst scratch emit (code k_delete q v) 0
         end
       done
     done
+
+  let decode _ c : move =
+    let q = c lsr 8 and v = (c lsr 2) land 63 in
+    match c land 3 with
+    | 0 -> Multi.Move.Load (q, v)
+    | 1 -> Multi.Move.Save (q, v)
+    | 2 -> Multi.Move.Compute (q, v)
+    | _ -> Multi.Move.Delete (q, v)
 end
 
 module ER = Engine.Make (GR)
@@ -205,7 +229,10 @@ module GP = struct
 
   let name = "multi-prbp"
 
-  let dummy_move : move = Multi.Move.Load (0, 0)
+  let k_load = 0
+  and k_save = 1
+  and k_delete = 2
+  and k_compute = 3
 
   let width inst = (2 * inst.cfg.Multi.p) + 2
 
@@ -230,14 +257,15 @@ module GP = struct
     for q = 0 to (2 * p) - 1 do
       all_red := !all_red lor buf.(q)
     done;
+    let all_red = !all_red in
     let lb = ref (Bits.popcount (inst.sink_mask land lnot blue)) in
-    Bits.iter_bits
-      (fun v ->
-        if
-          !all_red land (1 lsl v) = 0
-          && inst.out_mask.(v) land lnot marked <> 0
-        then incr lb)
-      inst.source_mask;
+    let m = ref inst.source_mask in
+    while !m <> 0 do
+      let v = Bits.lowest_set_index !m in
+      m := !m land (!m - 1);
+      if all_red land (1 lsl v) = 0 && inst.out_mask.(v) land lnot marked <> 0
+      then incr lb
+    done;
     !lb
 
   (* the single-processor heuristics lifted onto processor 0, as for
@@ -265,6 +293,15 @@ module GP = struct
       scratch.(p + !j + 1) <- d
     done
 
+  (* hand the successor in [scratch] to the engine, processor pairs
+     sorted first when canonicalizing *)
+  let[@inline] fin inst scratch emit code cost01 =
+    if inst.canon then canonicalize inst scratch;
+    emit code cost01
+
+  let[@inline] fully_used inst marked v =
+    inst.out_mask.(v) land lnot marked = 0
+
   let expand inst cur ~scratch ~emit =
     let p = inst.cfg.Multi.p and r = inst.cfg.Multi.r in
     let w = (2 * p) + 2 in
@@ -275,11 +312,6 @@ module GP = struct
       all_dark := !all_dark lor cur.(p + q)
     done;
     let all_dark = !all_dark and all_light = !all_light in
-    let fin (m : move) cost01 =
-      if inst.canon then canonicalize inst scratch;
-      emit m cost01
-    in
-    let fully_used v = inst.out_mask.(v) land lnot marked = 0 in
     for q = 0 to p - 1 do
       let light = cur.(q) and dark = cur.(p + q) in
       let n_red = Bits.popcount (light lor dark) in
@@ -288,43 +320,44 @@ module GP = struct
         (* LOAD: a light copy of a blue value; useless once every
            out-edge is marked (sinks are then already blue) *)
         if blue land b <> 0 && light land b = 0 && n_red < r
-           && not (fully_used v)
+           && not (fully_used inst marked v)
         then begin
-          Array.blit cur 0 scratch 0 w;
+          copy_state cur scratch w;
           scratch.(q) <- light lor b;
-          fin (Multi.Move.Load (q, v)) 1
+          fin inst scratch emit (code k_load q v) 1
         end;
         (* SAVE: dark -> blue + light on the same processor; useful
            only for sinks or while some out-edge is unmarked *)
         if
           dark land b <> 0
-          && ((not (fully_used v)) || inst.sink_mask land b <> 0)
+          && ((not (fully_used inst marked v)) || inst.sink_mask land b <> 0)
         then begin
-          Array.blit cur 0 scratch 0 w;
+          copy_state cur scratch w;
           scratch.(q) <- light lor b;
           scratch.(p + q) <- dark lxor b;
           scratch.(2 * p) <- blue lor b;
-          fin (Multi.Move.Save (q, v)) 1
+          fin inst scratch emit (code k_save q v) 1
         end;
         (* DELETE a light copy: blue-backed, so recoverable — deferred
            until the local cache is full; fully-used copies are cleaned
            up eagerly for free *)
-        if light land b <> 0 && (n_red = r || fully_used v) then begin
-          Array.blit cur 0 scratch 0 w;
+        if light land b <> 0 && (n_red = r || fully_used inst marked v)
+        then begin
+          copy_state cur scratch w;
           scratch.(q) <- light lxor b;
-          fin (Multi.Move.Delete (q, v)) 0
+          fin inst scratch emit (code k_delete q v) 0
         end;
         (* DELETE a dark pebble: only once fully used (the rule
            engine's requirement); deleting a dark sink loses its value
            for good — a dead end we prune *)
         if
           dark land b <> 0
-          && fully_used v
+          && fully_used inst marked v
           && inst.sink_mask land b = 0
         then begin
-          Array.blit cur 0 scratch 0 w;
+          copy_state cur scratch w;
           scratch.(p + q) <- dark lxor b;
-          fin (Multi.Move.Delete (q, v)) 0
+          fin inst scratch emit (code k_delete q v) 0
         end
       done;
       (* PARTIAL COMPUTE on processor q along each unmarked edge *)
@@ -348,7 +381,7 @@ module GP = struct
             || ((all_dark lor all_light lor blue) land bv = 0
                && n_red < r)
           then begin
-            Array.blit cur 0 scratch 0 w;
+            copy_state cur scratch w;
             (* every other copy of v is now stale *)
             for q' = 0 to p - 1 do
               scratch.(q') <- scratch.(q') land lnot bv;
@@ -357,11 +390,19 @@ module GP = struct
             scratch.(p + q) <- scratch.(p + q) lor bv;
             scratch.(2 * p) <- scratch.(2 * p) land lnot bv;
             scratch.(2 * p + 1) <- marked lor (1 lsl e);
-            fin (Multi.Move.Compute (q, (u, v))) 0
+            fin inst scratch emit (code k_compute q e) 0
           end
         end
       done
     done
+
+  let decode inst c : move =
+    let q = c lsr 8 and x = (c lsr 2) land 63 in
+    match c land 3 with
+    | 0 -> Multi.Move.Load (q, x)
+    | 1 -> Multi.Move.Save (q, x)
+    | 2 -> Multi.Move.Delete (q, x)
+    | _ -> Multi.Move.Compute (q, (inst.esrc.(x), inst.edst.(x)))
 end
 
 module EP = Engine.Make (GP)

@@ -14,6 +14,26 @@ and st_blue = 1
 and st_dark = 2
 and st_bl = 3
 
+(* Move codes: the low 3 bits are the kind (0 load, 1 save, 2 delete,
+   3 clear, 4 compute), the rest the node — for a compute, the id of
+   the edge it marks, from which [decode] reads (u, v). *)
+let k_load = 0
+and k_save = 1
+and k_delete = 2
+and k_clear = 3
+and k_compute = 4
+
+let[@inline] code k x = k lor (x lsl 3)
+
+(* Store a successor and hand it to the engine: a top-level function
+   rather than a closure in [expand], so the hot loop allocates
+   nothing. *)
+let[@inline] put scratch emit p m code cost01 =
+  (* scratch is engine-allocated at exactly [width inst] *)
+  Array.unsafe_set scratch 0 p;
+  Array.unsafe_set scratch 1 m;
+  emit code cost01
+
 module G = struct
   type inst = {
     cfg : Prbp.config;
@@ -34,8 +54,6 @@ module G = struct
   type move = PM.t
 
   let name = "prbp"
-
-  let dummy_move = PM.Load 0
 
   let width _ = 2
 
@@ -68,16 +86,21 @@ module G = struct
   let residual_lb inst buf =
     let pack = buf.(0) and marked = buf.(1) in
     let lb = ref 0 in
-    Bits.iter_bits
-      (fun v -> if (pack lsr (2 * v)) land 1 = 0 then incr lb)
-      inst.sink_mask;
-    Bits.iter_bits
-      (fun v ->
-        if
-          (pack lsr (2 * v)) land 2 = 0
-          && inst.out_mask.(v) land lnot marked <> 0
-        then incr lb)
-      inst.source_mask;
+    let m = ref inst.sink_mask in
+    while !m <> 0 do
+      let v = Bits.lowest_set_index !m in
+      m := !m land (!m - 1);
+      if (pack lsr (2 * v)) land 1 = 0 then incr lb
+    done;
+    let m = ref inst.source_mask in
+    while !m <> 0 do
+      let v = Bits.lowest_set_index !m in
+      m := !m land (!m - 1);
+      if
+        (pack lsr (2 * v)) land 2 = 0
+        && Array.unsafe_get inst.out_mask v land lnot marked <> 0
+      then incr lb
+    done;
     !lb
 
   (* Both heuristic pebblers play the standard one-shot game, legal in
@@ -90,12 +113,6 @@ module G = struct
 
   let expand inst cur ~scratch ~emit =
     let pack = cur.(0) and marked = cur.(1) in
-    let put p m (mv : move) cost01 =
-      (* scratch is engine-allocated at exactly [width inst] *)
-      Array.unsafe_set scratch 0 p;
-      Array.unsafe_set scratch 1 m;
-      emit mv cost01
-    in
     (* hot loop: hoist the loop-invariant loads; the per-node/per-edge
        arrays are sized n/m at construction, every index is a node or
        edge id *)
@@ -108,13 +125,14 @@ module G = struct
       (* LOAD: blue only -> blue+light; useless once all out-edges are
          marked (covers sinks: they are already blue) *)
       if s = st_blue && n_red < r && not fully_used then
-        put (set_node_state pack v st_bl) marked (PM.Load v) 1;
+        put scratch emit (set_node_state pack v st_bl) marked (code k_load v) 1;
       (* SAVE: dark -> blue+light; useful only for sinks or while some
          out-edge is still unmarked *)
       if
         s = st_dark
         && ((not fully_used) || inst.sink_mask land (1 lsl v) <> 0)
-      then put (set_node_state pack v st_bl) marked (PM.Save v) 1;
+      then
+        put scratch emit (set_node_state pack v st_bl) marked (code k_save v) 1;
       (* DELETE light red: a cached copy of a value that is also in
          slow memory only ever consumes capacity, so deleting it is
          postponed until the cache is full (a normalization that
@@ -123,7 +141,10 @@ module G = struct
       if
         s = st_bl
         && (inst.eager_deletes || n_red = r || fully_used)
-      then put (set_node_state pack v st_blue) marked (PM.Delete v) 0;
+      then
+        put scratch emit
+          (set_node_state pack v st_blue)
+          marked (code k_delete v) 0;
       (* DELETE dark red: only when fully used; deleting a dark sink
          loses its final value for good — a dead end we prune *)
       if
@@ -131,7 +152,10 @@ module G = struct
         && (not inst.cfg.Prbp.no_delete)
         && fully_used
         && inst.sink_mask land (1 lsl v) = 0
-      then put (set_node_state pack v st_none) marked (PM.Delete v) 0;
+      then
+        put scratch emit
+          (set_node_state pack v st_none)
+          marked (code k_delete v) 0;
       (* CLEAR (re-computation variant): drop all pebbles from an
          internal node and unmark its in-edges, allowing the value to
          be rebuilt from scratch later.  Skipped when a no-op. *)
@@ -141,10 +165,10 @@ module G = struct
         && inst.sink_mask land (1 lsl v) = 0
         && (s <> st_none || inst.in_mask.(v) land marked <> 0)
       then
-        put
+        put scratch emit
           (set_node_state pack v st_none)
           (marked land lnot inst.in_mask.(v))
-          (PM.Clear v) 0
+          (code k_clear v) 0
     done;
     (* PARTIAL COMPUTE on each unmarked edge *)
     let esrc = inst.esrc and edst = inst.edst and in_mask = inst.in_mask in
@@ -161,13 +185,21 @@ module G = struct
       then begin
         let sv = node_state pack v in
         if sv <> st_blue && (sv <> st_none || n_red < r) then
-          put
+          put scratch emit
             (set_node_state pack v st_dark)
             (marked lor (1 lsl e))
-            (PM.Compute (u, v))
-            0
+            (code k_compute e) 0
       end
     done
+
+  let decode inst c =
+    let x = c lsr 3 in
+    match c land 7 with
+    | 0 -> PM.Load x
+    | 1 -> PM.Save x
+    | 2 -> PM.Delete x
+    | 3 -> PM.Clear x
+    | _ -> PM.Compute (inst.esrc.(x), inst.edst.(x))
 end
 
 module E = Engine.Make (G)

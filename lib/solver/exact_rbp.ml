@@ -6,7 +6,29 @@ module RM = Prbp_pebble.Move.R
 (* The classic-RBP instance of the generic engine: a state is the
    (red, blue, comp) bitmask triple, packed as 3 ints.  All search
    machinery (state table, 0-1 deque, settled encoding, B&B) lives in
-   {!Engine.Make}; this module only knows the game rules. *)
+   {!Engine.Make}; this module only knows the game rules.
+
+   Move codes: the low 3 bits are the kind (0 load, 1 save, 2 compute,
+   3 delete, 4 slide), bits 3-8 the node, and for a slide bits 9-14
+   the node whose red pebble moves (node ids are below 62). *)
+let k_load = 0
+and k_save = 1
+and k_compute = 2
+and k_delete = 3
+and k_slide = 4
+
+let[@inline] code k v = k lor (v lsl 3)
+
+(* Store a successor and hand it to the engine: a top-level function
+   rather than a closure in [expand], so the hot loop allocates
+   nothing. *)
+let[@inline] put scratch emit r b c code cost01 =
+  (* scratch is engine-allocated at exactly [width inst] *)
+  Array.unsafe_set scratch 0 r;
+  Array.unsafe_set scratch 1 b;
+  Array.unsafe_set scratch 2 c;
+  emit code cost01
+
 module G = struct
   type inst = {
     cfg : Rbp.config;
@@ -23,8 +45,6 @@ module G = struct
   type move = RM.t
 
   let name = "rbp"
-
-  let dummy_move = RM.Load 0
 
   let width _ = 3
 
@@ -44,13 +64,11 @@ module G = struct
     let red = buf.(0) and blue = buf.(1) and comp = buf.(2) in
     let lb = ref (Bits.popcount (inst.sinks land lnot blue)) in
     if inst.cfg.Rbp.one_shot then
-      Array.iter
-        (fun s ->
-          if
-            red land (1 lsl s) = 0
-            && inst.succ_mask.(s) land lnot comp <> 0
-          then incr lb)
-        inst.srcs;
+      for i = 0 to Array.length inst.srcs - 1 do
+        let s = Array.unsafe_get inst.srcs i in
+        if red land (1 lsl s) = 0 && inst.succ_mask.(s) land lnot comp <> 0
+        then incr lb
+      done;
     !lb
 
   (* The Belady pebbler plays the standard one-shot game, whose move
@@ -71,13 +89,6 @@ module G = struct
 
   let expand inst cur ~scratch ~emit =
     let red = cur.(0) and blue = cur.(1) and comp = cur.(2) in
-    let put r b c (m : move) cost01 =
-      (* scratch is engine-allocated at exactly [width inst] *)
-      Array.unsafe_set scratch 0 r;
-      Array.unsafe_set scratch 1 b;
-      Array.unsafe_set scratch 2 c;
-      emit m cost01
-    in
     (* hot loop: hoist the loop-invariant loads *)
     let r = inst.cfg.Rbp.r in
     let n_red = Bits.popcount red in
@@ -89,14 +100,14 @@ module G = struct
         && red land b = 0
         && n_red < r
         && not (obsolete inst blue comp v)
-      then put (red lor b) blue comp (RM.Load v) 1;
+      then put scratch emit (red lor b) blue comp (code k_load v) 1;
       (* SAVE; in the no-delete variant saving an already-blue node is
          meaningful (it is the only way to release the red pebble) *)
       if red land b <> 0 && (blue land b = 0 || inst.cfg.Rbp.no_delete)
       then begin
         let red' = if inst.cfg.Rbp.no_delete then red lxor b else red in
         if inst.cfg.Rbp.no_delete || not (obsolete inst blue comp v) then
-          put red' (blue lor b) comp (RM.Save v) 1
+          put scratch emit red' (blue lor b) comp (code k_save v) 1
       end;
       (* COMPUTE *)
       if
@@ -106,17 +117,21 @@ module G = struct
         && red land inst.pred_mask.(v) = inst.pred_mask.(v)
       then begin
         let comp' = if inst.cfg.Rbp.one_shot then comp lor b else comp in
-        if n_red < r then put (red lor b) blue comp' (RM.Compute v) 0;
+        if n_red < r then
+          put scratch emit (red lor b) blue comp' (code k_compute v) 0;
         (* SLIDE *)
-        if inst.cfg.Rbp.sliding then
-          Bits.iter_bits
-            (fun u ->
-              put
-                (red lxor (1 lsl u) lor b)
-                blue comp'
-                (RM.Slide (u, v))
-                0)
-            inst.pred_mask.(v)
+        if inst.cfg.Rbp.sliding then begin
+          let preds = ref inst.pred_mask.(v) in
+          while !preds <> 0 do
+            let u = Bits.lowest_set_index !preds in
+            preds := !preds land (!preds - 1);
+            put scratch emit
+              (red lxor (1 lsl u) lor b)
+              blue comp'
+              (code k_slide v lor (u lsl 9))
+              0
+          done
+        end
       end;
       (* DELETE.  Deleting an unsaved, still-needed value is a dead
          end in the one-shot game (pruned); deleting a recoverable
@@ -132,8 +147,17 @@ module G = struct
         && (obsolete inst blue comp v
            || ((inst.eager_deletes || n_red = r)
               && ((not inst.cfg.Rbp.one_shot) || blue land b <> 0)))
-      then put (red lxor b) blue comp (RM.Delete v) 0
+      then put scratch emit (red lxor b) blue comp (code k_delete v) 0
     done
+
+  let decode _ c =
+    let v = (c lsr 3) land 63 in
+    match c land 7 with
+    | 0 -> RM.Load v
+    | 1 -> RM.Save v
+    | 2 -> RM.Compute v
+    | 3 -> RM.Delete v
+    | _ -> RM.Slide (c lsr 9, v)
 end
 
 module E = Engine.Make (G)

@@ -15,8 +15,8 @@ module type S = sig
 
   val incumbent : inst -> (int * move list) option
 
-  val dummy_move : move
-
   val expand : inst -> int array -> scratch:int array ->
-    emit:(move -> int -> unit) -> unit
+    emit:(int -> int -> unit) -> unit
+
+  val decode : inst -> int -> move
 end

@@ -18,7 +18,9 @@
     States are flat ints rather than a type parameter so that the hot
     path never boxes: the engine hands games [int array] scratch
     buffers and the games read/write raw packed words
-    ({!State_table.Flat} stores them column-wise). *)
+    ({!State_table.Flat} stores them column-wise).  Moves travel the
+    same way, as immediate int codes that only strategy reconstruction
+    turns back into the game's [move] type. *)
 
 (** The game interface.  All state buffers have exactly
     [width inst] ints; games must not retain the buffers they are
@@ -35,8 +37,10 @@ module type S = sig
       tags its telemetry. *)
 
   type move
-  (** Move vocabulary, recorded per transition for optimal-trace
-      reconstruction. *)
+  (** Move vocabulary of the strategies the engine reconstructs.  The
+      search itself never builds a [move]: it records an immediate
+      int code per transition, and {!decode} turns the codes of the
+      one optimal path back into moves. *)
 
   val width : inst -> int
   (** Ints per packed state (constant for a given instance). *)
@@ -52,7 +56,8 @@ module type S = sig
       never exceeds the true remaining optimal cost.  Return [0] to
       opt out.  Consulted by branch-and-bound when pruning is armed,
       and by the certified lower bound of truncated
-      ({!Solver.Bounded}) outcomes. *)
+      ({!Solver.Bounded}) outcomes.  Called once per new successor
+      state, so it must not allocate. *)
 
   val incumbent : inst -> (int * move list) option
   (** A complete valid strategy and its cost (typically a heuristic
@@ -63,15 +68,18 @@ module type S = sig
       as its [incumbent_strategy] when a strategy was requested.
       [None] disables pruning. *)
 
-  val dummy_move : move
-  (** Array-initialization filler; never reported. *)
-
   val expand : inst -> int array -> scratch:int array ->
-    emit:(move -> int -> unit) -> unit
+    emit:(int -> int -> unit) -> unit
   (** [expand inst cur ~scratch ~emit]: enumerate every legal move
       from the state in [cur]; for each, write the successor state
-      into [scratch.(0 .. width-1)] and call [emit move cost01] with
-      [cost01] ∈ {0, 1}.  [emit] consumes [scratch] immediately, so
-      the buffer may be reused across successors.  [cur] must not be
-      modified. *)
+      into [scratch.(0 .. width-1)] and call [emit code cost01] with
+      the move's int code (see {!decode}) and [cost01] ∈ {0, 1}.
+      [emit] consumes [scratch] immediately, so the buffer may be
+      reused across successors.  [cur] must not be modified.  This is
+      the engine's innermost loop: it must not allocate (no boxed
+      move, no local closure). *)
+
+  val decode : inst -> int -> move
+  (** The move an [expand] code stands for.  Called only when a
+      strategy is rebuilt, once per move of the optimal path. *)
 end

@@ -84,32 +84,3 @@ module Ibuf = struct
     y.a <- a;
     y.len <- len
 end
-
-module Vbuf = struct
-  type 'a t = { dummy : 'a; mutable a : 'a array; mutable len : int }
-
-  let create dummy = { dummy; a = [||]; len = 0 }
-
-  let length b = b.len
-
-  let push b x =
-    let cap = Array.length b.a in
-    if b.len = cap then begin
-      let a = Array.make (max 64 (2 * cap)) b.dummy in
-      Array.blit b.a 0 a 0 cap;
-      b.a <- a
-    end;
-    Array.unsafe_set b.a b.len x;
-    b.len <- b.len + 1
-
-  let get b i = Array.unsafe_get b.a i
-
-  let set b i x = Array.unsafe_set b.a i x
-
-  (* drop the references so popped elements don't leak across rounds *)
-  let clear b =
-    Array.fill b.a 0 b.len b.dummy;
-    b.len <- 0
-
-  let words b = Array.length b.a
-end

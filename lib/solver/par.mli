@@ -19,8 +19,8 @@ module Barrier : sig
       resets for the next round. *)
 end
 
-(** Growable flat [int] buffer: the message lanes and frontier buckets
-    of the parallel engine.  Not synchronized — the engine's barrier
+(** Growable flat [int] buffer: the message and move lanes and the
+    frontier buckets of the parallel engine.  Not synchronized — the engine's barrier
     discipline is what makes sharing safe. *)
 module Ibuf : sig
   type t
@@ -51,28 +51,4 @@ module Ibuf : sig
 
   val swap : t -> t -> unit
   (** Exchange contents and capacity — O(1) bucket rotation. *)
-end
-
-(** Growable buffer of boxed values (move tags riding next to the
-    packed keys of {!Ibuf} lanes). *)
-module Vbuf : sig
-  type 'a t
-
-  val create : 'a -> 'a t
-  (** [create dummy]: [dummy] fills unused capacity. *)
-
-  val length : 'a t -> int
-
-  val push : 'a t -> 'a -> unit
-
-  val get : 'a t -> int -> 'a
-  (** Unchecked. *)
-
-  val set : 'a t -> int -> 'a -> unit
-  (** Unchecked. *)
-
-  val clear : 'a t -> unit
-  (** Keeps the capacity but drops the element references. *)
-
-  val words : 'a t -> int
 end

@@ -52,12 +52,19 @@ let[@inline] hash_width width (k : int array) =
    The hash dispatches on the (per-table constant) width, so the
    dominant w <= 3 cases run with no loop. *)
 module Flat = struct
+  (* The probe array and the dense columns may be longer than the
+     table uses: [recycle] keeps them from an earlier search.  Every
+     size the search can observe — the probe mask, the growth points,
+     [words], [load], [capacity], [resizes] — follows the logical sizes
+     [nslots] and [cap], which replay those of a fresh table. *)
   type t = {
-    width : int;
+    mutable width : int;
     base_cap : int;  (* creation-time dense capacity; growth baseline *)
-    mutable slots : int array;
-    mutable keys : int array;  (* width * capacity, row-major *)
-    mutable v : int array;
+    mutable slots : int array;  (* >= nslots long *)
+    mutable nslots : int;  (* logical probe-array size, a power of two *)
+    mutable keys : int array;  (* row-major, >= width * cap long *)
+    mutable v : int array;  (* >= cap long *)
+    mutable cap : int;  (* logical dense capacity *)
     mutable n : int;
   }
 
@@ -70,8 +77,11 @@ module Flat = struct
     done;
     !c
 
+  let check_width what width =
+    if width < 1 then invalid_arg ("State_table.Flat." ^ what ^ ": width >= 1")
+
   let create ?capacity ~width () =
-    if width < 1 then invalid_arg "State_table.Flat.create: width >= 1";
+    check_width "create" width;
     let base_cap =
       match capacity with None -> initial_cap | Some c -> round_cap c
     in
@@ -79,8 +89,10 @@ module Flat = struct
       width;
       base_cap;
       slots = Array.make (2 * base_cap) 0;
+      nslots = 2 * base_cap;
       keys = Array.make (width * base_cap) 0;
       v = Array.make base_cap 0;
+      cap = base_cap;
       n = 0;
     }
 
@@ -108,7 +120,7 @@ module Flat = struct
      is measurable. *)
   let find_2 t a b =
     let keys = t.keys in
-    let mask = Array.length t.slots - 1 in
+    let mask = t.nslots - 1 in
     let i = ref (mix (a lxor (b * 0x9e3779b97f4a7c1)) land mask) in
     let res = ref (-2) in
     while !res = -2 do
@@ -127,7 +139,7 @@ module Flat = struct
 
   let find_3 t a b c =
     let keys = t.keys in
-    let mask = Array.length t.slots - 1 in
+    let mask = t.nslots - 1 in
     let i =
       ref
         (mix (a lxor (b * 0x9e3779b97f4a7c1) lxor (c * 0x3c79ac492ba7b65))
@@ -156,7 +168,7 @@ module Flat = struct
         find_3 t (Array.unsafe_get k 0) (Array.unsafe_get k 1)
           (Array.unsafe_get k 2)
     | _ ->
-        let mask = Array.length t.slots - 1 in
+        let mask = t.nslots - 1 in
         let i = ref (hash_key t k land mask) in
         let res = ref (-2) in
         while !res = -2 do
@@ -167,8 +179,9 @@ module Flat = struct
         done;
         !res
 
-  let place t slots j =
-    let mask = Array.length slots - 1 in
+  let place t j =
+    let slots = t.slots in
+    let mask = t.nslots - 1 in
     let base = j * t.width in
     let h =
       (* hash straight out of the key column *)
@@ -193,22 +206,36 @@ module Flat = struct
     done;
     slots.(!i) <- j + 1
 
-  let add t k value =
-    if 4 * (t.n + 1) > 3 * Array.length t.slots then begin
-      let slots = Array.make (2 * Array.length t.slots) 0 in
-      for j = 0 to t.n - 1 do
-        place t slots j
-      done;
-      t.slots <- slots
+  (* Double the probe array: zero the prefix it now spans (allocating
+     only when the kept array is too short) and re-place every entry
+     from the dense key column, in index order — the probe layout a
+     fresh table reaches. *)
+  let grow_slots t =
+    let ns = 2 * t.nslots in
+    if Array.length t.slots < ns then t.slots <- Array.make ns 0
+    else Array.fill t.slots 0 ns 0;
+    t.nslots <- ns;
+    for j = 0 to t.n - 1 do
+      place t j
+    done
+
+  let grow_dense t =
+    let c = 2 * t.cap in
+    if Array.length t.keys < t.width * c then begin
+      let keys = Array.make (t.width * c) 0 in
+      Array.blit t.keys 0 keys 0 (t.width * t.n);
+      t.keys <- keys
     end;
-    if t.n * t.width = Array.length t.keys then begin
-      let keys = Array.make (2 * Array.length t.keys) 0 in
-      Array.blit t.keys 0 keys 0 (Array.length t.keys);
-      t.keys <- keys;
-      let v = Array.make (2 * Array.length t.v) 0 in
-      Array.blit t.v 0 v 0 (Array.length t.v);
+    if Array.length t.v < c then begin
+      let v = Array.make c 0 in
+      Array.blit t.v 0 v 0 t.n;
       t.v <- v
     end;
+    t.cap <- c
+
+  let add t k value =
+    if 4 * (t.n + 1) > 3 * t.nslots then grow_slots t;
+    if t.n = t.cap then grow_dense t;
     let j = t.n in
     (* scalar stores for the dominant widths: [Array.blit] is a C call
        and [add] runs once per unique state *)
@@ -224,7 +251,7 @@ module Flat = struct
         t.keys.(base + 2) <- Array.unsafe_get k 2
     | w -> Array.blit k 0 t.keys (j * w) w);
     t.v.(j) <- value;
-    place t t.slots j;
+    place t j;
     t.n <- j + 1;
     j
 
@@ -247,29 +274,36 @@ module Flat = struct
 
   let set_value t j x = Array.unsafe_set t.v j x
 
-  let words t =
-    Array.length t.slots + Array.length t.keys + Array.length t.v
+  let words t = t.nslots + (t.width * t.cap) + t.cap
 
-  let load t =
-    float_of_int t.n /. float_of_int (Array.length t.slots)
+  let load t = float_of_int t.n /. float_of_int t.nslots
 
-  let capacity t = Array.length t.v
+  let capacity t = t.cap
 
   (* dense columns double from the creation-time capacity, so the
      growth count is the exponent gap — what the table-resize metric
      reports *)
   let resizes t =
     let r = ref 0 and c = ref t.base_cap in
-    while !c < Array.length t.v do
+    while !c < t.cap do
       incr r;
       c := 2 * !c
     done;
     !r
 
-  let reset t =
-    t.slots <- Array.make (2 * t.base_cap) 0;
-    t.keys <- Array.make (t.width * t.base_cap) 0;
-    t.v <- Array.make t.base_cap 0;
+  (* Empty the table for a new search of [width]-int keys, keeping its
+     arrays: only the probe prefix a fresh table spans is zeroed (the
+     dense columns are never read past [n]), and only a key column too
+     short for the creation-time capacity at the new width is
+     replaced. *)
+  let recycle t ~width =
+    check_width "recycle" width;
+    t.width <- width;
+    t.nslots <- 2 * t.base_cap;
+    Array.fill t.slots 0 t.nslots 0;
+    if Array.length t.keys < width * t.base_cap then
+      t.keys <- Array.make (width * t.base_cap) 0;
+    t.cap <- t.base_cap;
     t.n <- 0
 end
 

@@ -22,7 +22,7 @@ module Flat : sig
   val create : ?capacity:int -> width:int -> unit -> t
   (** [width >= 1] ints per key.  [capacity] hints the initial dense
       capacity (rounded up to a power of two, floored at 64; default
-      4096) — growth doubles from there, and {!resizes}/{!reset} count
+      4096) — growth doubles from there, and {!resizes}/{!recycle} count
       against the creation-time baseline.  Shard-of-[n] callers pass
       [default / n] so the aggregate footprint of a sharded table
       matches a single sequential one. *)
@@ -50,9 +50,11 @@ module Flat : sig
   val set_value : t -> int -> int -> unit
 
   val words : t -> int
-  (** Heap words currently held by the table's arrays (headers aside)
-      — the dominant term of a search's memory footprint, used for
-      budget enforcement. *)
+  (** Heap words a fresh table's arrays would hold after the same
+      inserts (headers aside) — the dominant term of a search's memory
+      footprint, used for budget enforcement.  Like {!load},
+      {!capacity} and {!resizes}, this is a logical size: storage that
+      {!recycle} kept from an earlier search does not count. *)
 
   val load : t -> float
   (** Probe-array load factor (kept below 3/4 by growth). *)
@@ -63,9 +65,18 @@ module Flat : sig
 
   val resizes : t -> int
   (** How many geometric growth steps the dense columns have taken
-      since creation — the engine's table-resize metric. *)
+      since creation (or the last {!recycle}) — the engine's
+      table-resize metric. *)
 
-  val reset : t -> unit
+  val recycle : t -> width:int -> unit
+  (** [recycle t ~width] empties [t] for a new search over
+      [width]-int keys, keeping its arrays: it zeroes only the
+      probe-array prefix a fresh table would use, and allocates only
+      when the kept key column is too short for the creation-time
+      capacity at [width].  Growth past that prefix zeroes the next
+      prefix and re-places the entries from the key column, so probe
+      order, dense indices and every logical size are those of
+      [create ~width ()] with the same capacity hint. *)
 end
 
 (** Hash-partitioned collection of {!Flat} shards for multicore

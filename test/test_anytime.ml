@@ -123,8 +123,6 @@ module Toy = struct
 
     let name = "toy"
 
-    let dummy_move = 0
-
     let width () = 1
 
     let write_init () buf = buf.(0) <- 0
@@ -141,6 +139,9 @@ module Toy = struct
           scratch.(0) <- dst;
           emit dst c)
         edges.(cur.(0))
+
+    (* the move code is the destination state itself *)
+    let decode () m = m
   end
 
   module E = Prbp.Engine.Make (G)

@@ -3,7 +3,7 @@ module D = Prbp_solver.Deque01
 
 let drain d =
   let rec go acc =
-    match D.pop_front d with None -> List.rev acc | Some x -> go (x :: acc)
+    match D.pop_front d with -1 -> List.rev acc | x -> go (x :: acc)
   in
   go []
 
@@ -38,8 +38,7 @@ let test_wraparound () =
       Queue.push i model
     done;
     for _ = 1 to 8 lsl round do
-      check_int "pop matches" (Queue.pop model)
-        (match D.pop_front d with Some x -> x | None -> -1)
+      check_int "pop matches" (Queue.pop model) (D.pop_front d)
     done
   done;
   check_int "lengths agree" (Queue.length model) (D.length d)
@@ -51,9 +50,28 @@ let test_clear () =
   done;
   D.clear d;
   check_true "cleared" (D.is_empty d);
-  check_true "pop on empty" (D.pop_front d = None);
+  check_int "pop on empty" (-1) (D.pop_front d);
   D.push_front d 7;
   Alcotest.(check (list int)) "usable after clear" [ 7 ] (drain d)
+
+(* recycling keeps the buffer but restarts the logical size: after a
+   large run, the same pushes report the words of a fresh deque *)
+let test_recycle () =
+  let d = D.create () in
+  for i = 1 to 10_000 do
+    D.push_back d i
+  done;
+  D.recycle d;
+  check_true "recycled empty" (D.is_empty d);
+  check_int "pop on recycled" (-1) (D.pop_front d);
+  check_int "words restart" 0 (D.words d);
+  let fresh = D.create () in
+  for i = 1 to 40 do
+    D.push_front d i;
+    D.push_front fresh i
+  done;
+  check_int "words of a fresh deque" (D.words fresh) (D.words d);
+  Alcotest.(check (list int)) "same contents" (drain fresh) (drain d)
 
 (* qcheck: arbitrary op sequences agree with a two-list reference *)
 type op = Front of int | Back of int | Pop
@@ -91,8 +109,8 @@ let qtest_vs_model =
               true
           | Pop -> (
               match (D.pop_front d, !model) with
-              | None, [] -> true
-              | Some x, y :: rest when x = y ->
+              | -1, [] -> true
+              | x, y :: rest when x = y ->
                   model := rest;
                   true
               | _ -> false))
@@ -107,6 +125,7 @@ let suite =
         case "LIFO via push_front" test_lifo;
         case "wraparound across growth" test_wraparound;
         case "clear releases and stays usable" test_clear;
+        case "recycle keeps storage, restarts words" test_recycle;
         QCheck_alcotest.to_alcotest qtest_vs_model;
       ] );
   ]

@@ -262,7 +262,10 @@ let json_str s = "\"" ^ String.escaped s ^ "\""
 
 let json_opt f = function Some x -> f x | None -> "null"
 
-let describe ~jobs show oc =
+(* one solve's outcome, with the printer of its game's moves *)
+type solved = Solved : ('m -> string) * 'm S.outcome -> solved
+
+let describe ~jobs (Solved (show, oc)) =
   let st = S.stats_of oc in
   let lower, upper, stopped, moves =
     match oc with
@@ -309,9 +312,10 @@ let engine_instances =
     Prbp.Graphs.Random_dag.make ~seed ~max_in_degree:2 ~layers ~width ()
   in
   let prbp g ~budget ~telemetry ~want_strategy ~jobs =
-    describe ~jobs Prbp.Move.P.to_string
-      (Prbp.Exact_prbp.solve ~budget ~telemetry ~want_strategy ~jobs (pcfg 3)
-         (g ()))
+    Solved
+      ( Prbp.Move.P.to_string,
+        Prbp.Exact_prbp.solve ~budget ?telemetry ~want_strategy ~jobs (pcfg 3)
+          (g ()) )
   in
   let show_mp = Format.asprintf "%a" Prbp.Multi.Move.pp_prbp in
   let show_mr = Format.asprintf "%a" Prbp.Multi.Move.pp_rbp in
@@ -323,25 +327,30 @@ let engine_instances =
       prbp (fun () -> random ~seed:99 ~layers:4 ~width:3) );
     ( "rbp pyramid(5) r=3",
       fun ~budget ~telemetry ~want_strategy ~jobs ->
-        describe ~jobs Prbp.Move.R.to_string
-          (Prbp.Exact_rbp.solve ~budget ~telemetry ~want_strategy ~jobs (rcfg 3)
-             (Prbp.Graphs.Basic.pyramid 5)) );
+        Solved
+          ( Prbp.Move.R.to_string,
+            Prbp.Exact_rbp.solve ~budget ?telemetry ~want_strategy ~jobs
+              (rcfg 3)
+              (Prbp.Graphs.Basic.pyramid 5) ) );
     ( "black pyramid(6) s=6",
       fun ~budget ~telemetry ~want_strategy ~jobs ->
-        describe ~jobs show_black
-          (Prbp.Black.solve ~budget ~telemetry ~want_strategy ~jobs ~s:6
-             (Prbp.Graphs.Basic.pyramid 6)) );
+        Solved
+          ( show_black,
+            Prbp.Black.solve ~budget ?telemetry ~want_strategy ~jobs ~s:6
+              (Prbp.Graphs.Basic.pyramid 6) ) );
     ( "multi-prbp fig1 p=2 r=3",
       fun ~budget ~telemetry ~want_strategy ~jobs ->
-        describe ~jobs show_mp
-          (Prbp.Exact_multi.prbp_solve ~budget ~telemetry ~want_strategy ~jobs
-             (mcfg ~p:2 ~r:3)
-             (fst (Prbp.Graphs.Fig1.full ()))) );
+        Solved
+          ( show_mp,
+            Prbp.Exact_multi.prbp_solve ~budget ?telemetry ~want_strategy ~jobs
+              (mcfg ~p:2 ~r:3)
+              (fst (Prbp.Graphs.Fig1.full ())) ) );
     ( "multi-rbp pyramid(3) p=2 r=3",
       fun ~budget ~telemetry ~want_strategy ~jobs ->
-        describe ~jobs show_mr
-          (Prbp.Exact_multi.rbp_solve ~budget ~telemetry ~want_strategy ~jobs
-             (mcfg ~p:2 ~r:3) (Prbp.Graphs.Basic.pyramid 3)) );
+        Solved
+          ( show_mr,
+            Prbp.Exact_multi.rbp_solve ~budget ?telemetry ~want_strategy ~jobs
+              (mcfg ~p:2 ~r:3) (Prbp.Graphs.Basic.pyramid 3) ) );
   ]
 
 let engine_golden () =
@@ -355,7 +364,10 @@ let engine_golden () =
                 (json_opt string_of_int p.S.Telemetry.upper)
         | _ -> ())
     in
-    let body = run ~budget ~telemetry ~want_strategy ~jobs in
+    let body =
+      describe ~jobs
+        (run ~budget ~telemetry:(Some telemetry) ~want_strategy ~jobs)
+    in
     Printf.sprintf "{\"case\":%s,\"jobs\":%d,\"want_strategy\":%b,%s,\"stop\":%s}"
       (json_str (name ^ tag))
       jobs want_strategy body !stop
@@ -388,6 +400,157 @@ let engine_golden () =
 
 let test_engine_golden () = check_golden "engine_v1.jsonl" (engine_golden ())
 
+(* --- recycled search memory -------------------------------------------
+   A sequential solve works in its domain's recycled state table, deque
+   and parent arrays.  Once the domain has solved an instance, solving
+   it again allocates under one minor-heap word per expansion and next
+   to nothing on the major heap — one pinned instance per game, with
+   and without a strategy.  [Gc.minor_words] counts words exactly;
+   [Gc.quick_stat]'s [minor_words] only moves at collections in OCaml
+   5.1 native code, so it cannot see a solve that triggers none. *)
+
+let test_second_solve_allocates_nothing () =
+  let budget = S.Budget.states 30_000_000 in
+  List.iter
+    (fun (name, run) ->
+      if not (String.starts_with ~prefix:"prbp random" name) then
+        List.iter
+          (fun want_strategy ->
+            let solve () = run ~budget ~telemetry:None ~want_strategy ~jobs:1 in
+            ignore (solve ());
+            let minor0 = Gc.minor_words () in
+            let major0 = (Gc.quick_stat ()).Gc.major_words in
+            let (Solved (_, oc)) = solve () in
+            let minor = Gc.minor_words () -. minor0 in
+            let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
+            let expansions = (S.stats_of oc).S.expansions in
+            let what =
+              Printf.sprintf "%s%s" name
+                (if want_strategy then " with strategy" else "")
+            in
+            check_true
+              (Printf.sprintf "%s: over 10^4 expansions (%d)" what expansions)
+              (expansions >= 10_000);
+            check_true
+              (Printf.sprintf "%s: %.3f minor words per expansion < 1" what
+                 (minor /. float_of_int expansions))
+              (minor < float_of_int expansions);
+            check_true
+              (Printf.sprintf "%s: %.0f major words < 1000" what major)
+              (major < 1000.))
+          [ false; true ])
+    engine_instances
+
+(* One solve of a small random DAG through one of the five games; its
+   description holds everything the golden pins (outcome, interval,
+   counters, [mem_words], moves). *)
+type pick = {
+  game : int;  (* prbp, rbp, black, multi-rbp, multi-prbp *)
+  dag : int;
+  r : int;
+  p : int;
+  want_strategy : bool;
+  cap : int;
+}
+
+let print_pick k =
+  Printf.sprintf "{game=%d dag=%d r=%d p=%d strategy=%b cap=%d}" k.game k.dag
+    k.r k.p k.want_strategy k.cap
+
+let solve_pick =
+  let pool = lazy (Array.of_list (Lazy.force random_dags)) in
+  fun k ->
+    let g = (Lazy.force pool).(k.dag) in
+    let budget = S.Budget.states k.cap and want_strategy = k.want_strategy in
+    let show_mp = Format.asprintf "%a" Prbp.Multi.Move.pp_prbp in
+    let show_mr = Format.asprintf "%a" Prbp.Multi.Move.pp_rbp in
+    describe ~jobs:1
+      (match k.game with
+      | 0 ->
+          Solved
+            ( Prbp.Move.P.to_string,
+              Prbp.Exact_prbp.solve ~budget ~want_strategy (pcfg k.r) g )
+      | 1 ->
+          Solved
+            ( Prbp.Move.R.to_string,
+              Prbp.Exact_rbp.solve ~budget ~want_strategy (rcfg k.r) g )
+      | 2 ->
+          Solved (show_black, Prbp.Black.solve ~budget ~want_strategy ~s:k.r g)
+      | 3 ->
+          Solved
+            ( show_mr,
+              Prbp.Exact_multi.rbp_solve ~budget ~want_strategy
+                (mcfg ~p:k.p ~r:k.r) g )
+      | _ ->
+          Solved
+            ( show_mp,
+              Prbp.Exact_multi.prbp_solve ~budget ~want_strategy
+                (mcfg ~p:k.p ~r:k.r) g ))
+
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+(* Property: a sequence of solves on one domain — key widths 2, 3,
+   p + 2 and 2p + 2, grown and small tables, with and without parent
+   arrays — gives every solve exactly the result it has on a fresh
+   domain, whose workspace slot starts empty. *)
+let qcheck_recycling_changes_nothing =
+  let gen_pick =
+    QCheck.Gen.(
+      map
+        (fun (game, dag, r, p, want_strategy, cap) ->
+          { game; dag; r; p; want_strategy; cap })
+        (tup6 (int_bound 4) (int_bound 9) (int_range 2 4) (int_range 1 2) bool
+           (oneofl [ 300; 5_000; 20_000 ])))
+  in
+  qcase ~count:12 "recycled workspaces change no result"
+    (QCheck.make
+       ~print:QCheck.Print.(list print_pick)
+       QCheck.Gen.(list_size (int_range 2 6) gen_pick))
+    (fun picks ->
+      let here = List.map solve_pick picks in
+      List.for_all2
+        (fun k got -> got = on_fresh_domain (fun () -> solve_pick k))
+        picks here)
+
+(* A telemetry sink that starts a second solve, of another key width,
+   in the middle of the first: the nested solve finds the domain's slot
+   empty and works in its own memory, and neither result moves. *)
+let test_nested_solve_in_sink () =
+  let tree = (Prbp.Graphs.Tree.make ~k:2 ~depth:3).Prbp.Graphs.Tree.dag in
+  let inner () =
+    describe ~jobs:1
+      (Solved
+         ( Prbp.Move.R.to_string,
+           Prbp.Exact_rbp.solve ~want_strategy:true (rcfg 3)
+             (Prbp.Graphs.Basic.pyramid 4) ))
+  in
+  let outer ?telemetry () =
+    describe ~jobs:1
+      (Solved
+         ( Prbp.Move.P.to_string,
+           Prbp.Exact_prbp.solve ?telemetry ~want_strategy:true (pcfg 3) tree ))
+  in
+  (* leave a grown workspace of a third width in this domain's slot *)
+  ignore
+    (Prbp.Exact_multi.prbp_solve (mcfg ~p:2 ~r:3)
+       (fst (Prbp.Graphs.Fig1.full ())));
+  let nested = ref None in
+  let telemetry =
+    S.Telemetry.make ~every:4096 (function
+      | S.Telemetry.Progress _ when !nested = None -> nested := Some (inner ())
+      | _ -> ())
+  in
+  let got = outer ~telemetry () in
+  Alcotest.(check string) "outer solve"
+    (on_fresh_domain (fun () -> outer ()))
+    got;
+  match !nested with
+  | None -> Alcotest.fail "the sink saw no progress event"
+  | Some nested ->
+      let want = on_fresh_domain inner in
+      Alcotest.(check string) "nested solve" want nested;
+      Alcotest.(check string) "a later solve" want (inner ())
+
 let suite =
   [
     ( "engine",
@@ -403,5 +566,9 @@ let suite =
         case "unified Bounded outcomes" test_bounded_unified;
         qcheck_multi_p1;
         case "outputs match the engine golden" test_engine_golden;
+        case "a second solve allocates nothing"
+          test_second_solve_allocates_nothing;
+        qcheck_recycling_changes_nothing;
+        case "a solve nested in a telemetry sink" test_nested_solve_in_sink;
       ] );
   ]

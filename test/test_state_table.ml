@@ -26,10 +26,45 @@ let test_flat_grow () =
   done;
   Flat.set_value t 0 42;
   check_int "set_value" 42 (Flat.value t 0);
-  Flat.reset t;
+  Flat.recycle t ~width:2;
   check_int "reset empties" 0 (Flat.length t);
   check_int "reset restores the capacity" 0 (Flat.resizes t);
   check_int "reset forgets" (-1) (Flat.find t [| 3; 21 |])
+
+(* A recycled table replays a fresh one: after a large width-2 search,
+   recycling to another key width gives the same dense indices and the
+   same logical sizes (words, capacity, resizes, load) as a table
+   created for that width — growing within the kept arrays and past
+   them. *)
+let test_flat_recycle () =
+  let t = Flat.create ~width:2 () in
+  for i = 0 to 99_999 do
+    ignore (Flat.add t [| i; i * 7 |] i)
+  done;
+  List.iter
+    (fun (width, n) ->
+      Flat.recycle t ~width;
+      check_int "recycle empties" 0 (Flat.length t);
+      let fresh = Flat.create ~width () in
+      let key i = Array.init width (fun c -> (i * (c + 3)) + c) in
+      for i = 0 to n - 1 do
+        check_int "absent" (-1) (Flat.find t (key i));
+        check_int "dense index of a fresh table" (Flat.add fresh (key i) i)
+          (Flat.add t (key i) i)
+      done;
+      check_int "words" (Flat.words fresh) (Flat.words t);
+      check_int "capacity" (Flat.capacity fresh) (Flat.capacity t);
+      check_int "resizes" (Flat.resizes fresh) (Flat.resizes t);
+      check_true "load" (Flat.load fresh = Flat.load t);
+      let buf = Array.make width 0 in
+      for i = 0 to n - 1 do
+        let idx = Flat.find t (key i) in
+        check_int "found" i idx;
+        check_int "value" i (Flat.value t idx);
+        Flat.read_key t idx buf;
+        check_true "key back" (buf = key i)
+      done)
+    [ (3, 10_000); (6, 300); (2, 150_000); (5, 40_000) ]
 
 (* Adversarial collisions at width 3: keys differing only in high
    bits, and bitmask-shaped keys (the solver's actual distribution). *)
@@ -103,12 +138,16 @@ let test_bits () =
       go 0 m
     in
     check_int "popcount random" naive (B.popcount m);
-    let collected = ref [] in
-    B.iter_bits (fun i -> collected := i :: !collected) m;
+    (* the clear-lowest-bit walk the games run over their masks *)
+    let collected = ref [] and rest = ref m in
+    while !rest <> 0 do
+      collected := B.lowest_set_index !rest :: !collected;
+      rest := !rest land (!rest - 1)
+    done;
     let expect =
       List.filter (fun i -> m land (1 lsl i) <> 0) (List.init 30 Fun.id)
     in
-    Alcotest.(check (list int)) "iter_bits" expect (List.rev !collected)
+    Alcotest.(check (list int)) "bit walk" expect (List.rev !collected)
   done
 
 let suite =
@@ -117,6 +156,7 @@ let suite =
       [
         case "Flat insert/lookup/grow/reset" test_flat_grow;
         case "Flat adversarial collisions" test_flat_collisions;
+        case "Flat recycle replays a fresh table" test_flat_recycle;
         QCheck_alcotest.to_alcotest (qtest_flat_vs_hashtbl 2);
         QCheck_alcotest.to_alcotest (qtest_flat_vs_hashtbl 3);
         case "bit kernels" test_bits;
